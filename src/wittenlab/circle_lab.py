@@ -142,9 +142,8 @@ def build_circle_function(simple_zeros, double_zeros) -> CircleFunction:
     simple = [_wrap(z) for z in simple_zeros]
     double = [_wrap(z) for z in double_zeros]
     total = len(simple) + 2 * len(double)
-    if total % 2 or total < 2 or not simple and double:
-        if len(simple) == 0 and len(double) == 0:
-            raise DegenerateInput("at least one critical point is required")
+    if not simple and not double:
+        raise DegenerateInput("at least one critical point is required")
     if total % 2 or total < 2:
         raise DegenerateInput("zero count (doubles twice) must be even and >= 2")
     allz = simple + double

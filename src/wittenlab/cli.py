@@ -87,8 +87,8 @@ def t_schedule(args) -> list[float]:
     raise ValueError("need --t or --t-list")
 
 
-def _sweep(fn, ts, workers: int | None):
-    """Run fn over the schedule concurrently; results ordered by t."""
+def _sweep(fn, ts, workers: int):
+    """Run fn over the schedule, in a thread pool if workers > 1; results ordered by t."""
     if workers == 1 or len(ts) == 1:
         return [fn(t) for t in ts]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -242,8 +242,7 @@ def cmd_circle(args) -> int:
             if r.t == t_max and r.label == "bd":
                 # the leading correction scales like |a t|^{-1/3}; anchor the
                 # 5% window at |a t| = 154 and widen it below that
-                mag = bd_mags[r.pair.split(":")[0].split("<-")[-1]] \
-                    if False else bd_mags[r.pair.split(":")[0]]
+                mag = bd_mags[r.pair.split(":")[0]]
                 width = 0.05 * max(1.0, (154.0 / (mag * r.t)) ** (1.0 / 3.0))
                 rep.check(f"bd ratio {r.pair}",
                           abs(r.rescaled - 1.0) <= width,
@@ -317,39 +316,38 @@ def cmd_complex(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.sub == "elements":
+        return cmd_circle(args)
+    if args.sub != "fstar":
+        raise ValueError(f"unknown compare subcommand {args.sub}")
     rep = Reporter(args.outdir, f"compare-{args.sub}", args.do_assert)
     cf = load_function(args)
     consts = constants.load_constants()
     ts = t_schedule(args)
-    if args.sub == "fstar":
-        def run(t):
-            return whs_compare.f_star(cf, t, k_eigs=args.k_eigs, constants=consts)
-        reports = _sweep(run, ts, args.workers)
-        rows = []
-        for r in reports:
-            for degree, mat in r.f_matrices.items():
-                for i, rid in enumerate(r.row_labels[degree]):
-                    for j, cid in enumerate(r.col_labels[degree]):
-                        rows.append([r.t, degree, rid, cid, mat[i, j],
-                                     r.deviation, r.defect])
-        rep.csv("fstar.csv",
-                ["t", "degree", "row", "col", "F_entry", "deviation", "defect"],
-                rows)
-        devs = [r.deviation for r in reports]
-        rep.check("deviation monotone decreasing",
-                  all(b < a for a, b in zip(devs, devs[1:])),
-                  " ".join(f"{d:.2e}" for d in devs))
-        if len(ts) >= 2:
-            slope = np.polyfit(np.log(ts), np.log(devs), 1)[0]
-            rep.check("deviation log-log slope <= -0.8", slope <= -0.8,
-                      f"{slope:.3f}")
-        rep.check("defect small", max(r.defect for r in reports) <= 1e-3,
-                  f"max {max(r.defect for r in reports):.2e}")
-    elif args.sub == "elements":
-        args.sub = "elements"
-        return cmd_circle(args)
-    else:
-        raise ValueError(f"unknown compare subcommand {args.sub}")
+
+    def run(t):
+        return whs_compare.f_star(cf, t, k_eigs=args.k_eigs, constants=consts)
+    reports = _sweep(run, ts, args.workers)
+    rows = []
+    for r in reports:
+        for degree, mat in r.f_matrices.items():
+            for i, rid in enumerate(r.row_labels[degree]):
+                for j, cid in enumerate(r.col_labels[degree]):
+                    rows.append([r.t, degree, rid, cid, mat[i, j],
+                                 r.deviation, r.defect])
+    rep.csv("fstar.csv",
+            ["t", "degree", "row", "col", "F_entry", "deviation", "defect"],
+            rows)
+    devs = [r.deviation for r in reports]
+    rep.check("deviation monotone decreasing",
+              all(b < a for a, b in zip(devs, devs[1:])),
+              " ".join(f"{d:.2e}" for d in devs))
+    if len(ts) >= 2:
+        slope = np.polyfit(np.log(ts), np.log(devs), 1)[0]
+        rep.check("deviation log-log slope <= -0.8", slope <= -0.8,
+                  f"{slope:.3f}")
+    rep.check("defect small", max(r.defect for r in reports) <= 1e-3,
+              f"max {max(r.defect for r in reports):.2e}")
     return rep.finish()
 
 
@@ -359,8 +357,8 @@ def _add_common(p, t_flags=True):
     p.add_argument("--outdir", default="reports")
     p.add_argument("--assert", dest="do_assert", action="store_true",
                    help="exit 2 when a check fails")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker pool size for t sweeps (default: cpu count)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="thread pool size for t sweeps (default: 1, a sequential sweep)")
     if t_flags:
         p.add_argument("--example", choices=["A", "B"])
         p.add_argument("--config")

@@ -3,8 +3,10 @@
 The levels e_1..e_8 of -d^2/dx^2 + 9x^4 - 6x and the x = 0 amplitude of its
 normalized ground state are computed once by a documented oracle run and
 cached in ``constants.json``.  The oracle route is deliberately independent
-of the library's own eigensolver: dense LAPACK tridiagonal solves on fixed
-grids, Richardson-extrapolated in the mesh width.
+of the library's own eigensolver, which locates eigenvalues by dstebz
+bisection: the oracle takes the whole spectrum from LAPACK's root-free QR
+iteration dsterf, and the ground vector from dstein inverse iteration at
+that level, on fixed grids, Richardson-extrapolated in the mesh width.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import MissingConstants
 from .oscillator1d import Anharmonic, discretize, grid
@@ -26,19 +28,27 @@ _ORACLE_L = 8.0
 
 
 def _dense_levels(n: int, k: int) -> np.ndarray:
-    """All-LAPACK lowest k levels of the unit operator on an n-point grid."""
+    """Lowest k levels of the unit operator on an n-point grid, by dsterf.
+
+    dsterf costs O(n^2) time but O(n) memory; MRRR through scipy's dstemr
+    wrapper would allocate a dense n x n array even for values only.
+    """
     t = discretize(Anharmonic(1.0, 1.0, -1), _ORACLE_L, n)
-    vals = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True,
-                                         select="i", select_range=(0, k - 1))
-    return vals
+    vals, info = lapack.dsterf(t.diag, t.offdiag)
+    if info != 0:
+        raise MissingConstants(f"oracle dsterf failed with info={info}")
+    return vals[:k]
 
 
-def _dense_ground_at_zero(n: int) -> float:
+def _dense_ground_at_zero(n: int, level: float) -> float:
     """Continuum-normalized ground amplitude at x = 0 (odd grid: 0 is a node)."""
     assert n % 2 == 1
     t = discretize(Anharmonic(1.0, 1.0, -1), _ORACLE_L, n)
-    _, vecs = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag,
-                                            select="i", select_range=(0, 0))
+    iblock = np.ones(n, dtype=np.int32)         # a single block ending at n
+    isplit = np.full(n, n, dtype=np.int32)
+    vecs, info = lapack.dstein(t.diag, t.offdiag, np.array([level]), iblock, isplit)
+    if info != 0:
+        raise MissingConstants(f"oracle dstein failed with info={info}")
     v = vecs[:, 0]
     if v[int(np.argmax(np.abs(v)))] < 0:
         v = -v
@@ -63,8 +73,8 @@ def compute_constants(base_n: int = 4096, k: int = N_LEVELS) -> dict:
     extrap_high = (4.0 * v_f - v_m) / 3.0
     gap = float(np.max(np.abs(extrap_high - extrap_low) / np.abs(extrap_high)))
 
-    xi_m = _dense_ground_at_zero(n_mid)
-    xi_f = _dense_ground_at_zero(n_fine)
+    xi_m = _dense_ground_at_zero(n_mid, v_m[0])
+    xi_f = _dense_ground_at_zero(n_fine, v_f[0])
     xi = (4.0 * xi_f - xi_m) / 3.0
 
     e = extrap_high

@@ -1,12 +1,26 @@
 """Deterministic symmetric eigensolver for (cyclic) tridiagonal matrices.
 
-Two routes, chosen by matrix shape:
+Eigenvalue locations come from LAPACK; the package's own vector solves,
+seeded by them, check every residual.  Two routes, chosen by matrix shape:
 
-* acyclic: Sturm-sequence bisection isolates the lowest eigenvalues, inverse
-  iteration with a safeguarded LDL^T factorization polishes value and vector;
-* cyclic (periodic corner entries): eigenvalue locations come from a bordered
-  LDL^T inertia count, eigenvectors from shift-invert Lanczos with full
-  reorthogonalization and deflated deterministic restarts.
+* acyclic: dstebz bisection gives the lowest eigenvalues; inverse iteration
+  from a shift just below each one polishes value and vector;
+* cyclic (periodic corner entries): the order 0, n-1, 1, n-2, ... makes the
+  matrix pentadiagonal, and dsbevx gives its lowest eigenvalues (values
+  only); shift-invert Lanczos with full reorthogonalization and deflated
+  deterministic restarts gives the vectors, each shifted solve being the
+  acyclic one plus a Sherman-Morrison-Woodbury correction for the corners.
+
+Shifted acyclic solves are factored once per shift: dpttrf/dpttrs below the
+spectrum, dgttrf/dgttrs elsewhere.
+
+Inertia counts are certified, never clipped.  An acyclic count is the dstebz
+Sturm count, exact for a matrix within a few ulps of the input.  A cyclic
+count cuts the cycle at one index: by Haynsworth inertia additivity it is the
+Sturm count of the remaining acyclic block plus the sign of the scalar Schur
+complement, one tridiagonal solve.  The cut is moved while the block is
+within SCHUR_SEPARATION * scale of singular, which bounds the relative error
+of that complement by about eps / SCHUR_SEPARATION.
 
 Everything is free of RNG: starting vectors are fixed index stencils, all
 reductions run in index order, so repeated calls are bit-identical.
@@ -18,15 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack as _lapack
 
-from . import _kernels
 from .errors import CornerPresent, DegenerateInput, NoConvergence, SingularShift
 
 # Fixed iteration budgets: exceeding them is an error, not silent degradation.
 LANCZOS_BUDGET = 200
 INVIT_SWEEPS = 5
 CLUSTER_TOL = 1e-10       # times scale: eigenvalues closer than this form a cluster
-_SAFE_MIN = np.finfo(float).tiny / np.finfo(float).eps
+SCHUR_SEPARATION = 1e-9   # times scale: least distance of lam from the cut block's spectrum
 
 
 @dataclass(frozen=True)
@@ -44,6 +58,11 @@ class SymTridiag:
             raise DegenerateInput("matrix dimension must be at least 2")
         if self.offdiag.shape != (self.n - 1,):
             raise DegenerateInput("offdiag must have length n-1")
+        if self.corner is not None:
+            object.__setattr__(self, "corner", float(self.corner))
+        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))
+                and (self.corner is None or np.isfinite(self.corner))):
+            raise DegenerateInput("matrix entries must be finite")
 
     @property
     def n(self) -> int:
@@ -67,17 +86,9 @@ class SymTridiag:
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
         if self.corner is not None:
-            a[0, -1] = a[-1, 0] = self.corner
+            a[0, -1] += self.corner       # n = 2: corner adds to the off-diagonal
+            a[-1, 0] += self.corner
         return a
-
-    def gershgorin(self) -> tuple[float, float]:
-        r = np.zeros(self.n)
-        r[:-1] += np.abs(self.offdiag)
-        r[1:] += np.abs(self.offdiag)
-        if self.corner is not None:
-            r[0] += abs(self.corner)
-            r[-1] += abs(self.corner)
-        return float(np.min(self.diag - r)), float(np.max(self.diag + r))
 
 
 @dataclass(frozen=True)
@@ -89,91 +100,136 @@ class EigenPair:
 
 # -- inertia counts -----------------------------------------------------------
 
-def _pivmin(t: SymTridiag) -> float:
-    m = float(np.max(t.offdiag ** 2))
-    if t.corner is not None:
-        m = max(m, t.corner ** 2)
-    return _SAFE_MIN * max(1.0, m)
+def _sturm_window(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:
+    """Eigenvalues of the acyclic tridiagonal (diag, off) in (lo, hi].
 
-
-def _counts_acyclic(t: SymTridiag, lams: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each entry of lams (batched)."""
-    return _kernels.counts_acyclic(t.diag, t.offdiag ** 2,
-                                   np.ascontiguousarray(lams, dtype=float),
-                                   _pivmin(t))
-
-
-def _counts_cyclic(t: SymTridiag, lams: np.ndarray) -> np.ndarray:
-    """Inertia below lams for the cyclic matrix via bordered LDL^T elimination.
-
-    The border column can blow up when a leading pivot is nearly singular;
-    clipping keeps the arithmetic finite at the cost of a possible off-by-one
-    count exactly at such lambdas, which bisection tolerates.
+    LAPACK dstebz with an infinite tolerance stops right after the Sturm
+    counts at the two ends, so this is two O(n) LDL^T sign counts.
     """
-    floor = _pivmin(t)
-    lams = np.ascontiguousarray(lams, dtype=float)
-    if t.n == 2:
-        # corner coincides with the off-diagonal entry
-        e = t.offdiag[0] + float(t.corner)
-        d = t.diag[0] - lams
-        count = (d < 0).astype(np.int64)
-        d_safe = np.where(np.abs(d) < floor, np.where(d < 0, -floor, floor), d)
-        count += ((t.diag[1] - lams) - e * e / d_safe) < 0
-        return count
-    return _kernels.counts_cyclic(t.diag, t.offdiag, lams, float(t.corner),
-                                  floor, 1e140)
+    if len(diag) == 1:
+        return int(lo < diag[0] <= hi)
+    m, _, _, _, info = _lapack.dstebz(diag, off, 1, lo, hi, 0, 0, np.inf, "B")
+    if info != 0:
+        raise NoConvergence(f"dstebz Sturm count failed with info={info}")
+    return int(m)
+
+
+def _sturm_below(diag: np.ndarray, off: np.ndarray, lam: float) -> int:
+    """Eigenvalues of the acyclic tridiagonal (diag, off) strictly below lam."""
+    return _sturm_window(diag, off, -np.inf, float(np.nextafter(lam, -np.inf)))
+
+
+def _check_shift(lam: float) -> float:
+    lam = float(lam)
+    if not np.isfinite(lam):
+        raise DegenerateInput(f"shift must be finite, got {lam}")
+    return lam
+
+
+def _cuts(n: int) -> list[int]:
+    """Indices at which the cycle is cut, in the order they are tried."""
+    return list(dict.fromkeys([n - 1, n // 2, n // 4, 3 * n // 4, 0]))
+
+
+def _count_below_cyclic(t: SymTridiag, lam: float) -> int:
+    """Inertia of T - lam I by Haynsworth additivity over a cut of the cycle.
+
+    With the m cut indices last, T - lam I = [[A, B], [B^T, C]] where A is
+    the acyclic (n-m) block, so In(T - lam I) = In(A) + In(S) for the m x m
+    Schur complement S = C - B^T A^{-1} B.  The count below lam is the Sturm
+    count of A plus the negative eigenvalues of S, which for m = 1 is the
+    sign of a scalar.  A must be safely nonsingular at lam: when A has an
+    eigenvalue within SCHUR_SEPARATION * scale of lam the cycle is cut at
+    another index, then at two adjacent ones (a constant diagonal at lam
+    makes every odd block singular), and SingularShift is raised if every
+    cut fails.
+    """
+    n = t.n
+    if n == 2:
+        return int(np.sum(np.linalg.eigvalsh(t.to_dense() - lam * np.eye(2)) < 0))
+    ring = np.append(t.offdiag, t.corner)      # ring[i] couples i and i+1 mod n
+    sep = SCHUR_SEPARATION * t.scale
+    for m in (1, 2):
+        k = n - m
+        for cut in _cuts(n):
+            d = np.roll(t.diag, -(cut + 1))    # the cut index goes last
+            e = np.roll(ring, -(cut + 1))
+            a_diag, a_off = d[:k], e[:k - 1]
+            if _sturm_window(a_diag, a_off, lam - sep, lam + sep):
+                continue
+            c = np.diag(d[k:] - lam) + np.diag(e[k:-1], 1) + np.diag(e[k:-1], -1)
+            b = np.zeros((k, m))
+            b[-1, 0] += e[k - 1]
+            b[0, -1] += e[-1]
+            if k == 1:
+                x = b / (a_diag[0] - lam)
+            else:
+                x = _ShiftedTridiagSolve(a_diag, a_off, lam).solve(b)
+            schur = c - b.T @ x
+            neg = int(np.sum(np.linalg.eigvalsh(schur) < 0.0))
+            return _sturm_below(a_diag, a_off, lam) + neg
+    raise SingularShift(
+        f"every cut of the cycle leaves a block singular at {lam:.6e}")
 
 
 def sturm_count(t: SymTridiag, lam: float) -> int:
     """Number of eigenvalues of an acyclic tridiagonal matrix strictly below lam."""
     if t.corner is not None:
         raise CornerPresent("sturm_count requires an acyclic matrix")
-    return int(_counts_acyclic(t, np.array([float(lam)]))[0])
+    return _sturm_below(t.diag, t.offdiag, _check_shift(lam))
 
 
 def count_below(t: SymTridiag, lam: float) -> int:
     """Inertia count below lam, valid for both acyclic and cyclic matrices."""
+    lam = _check_shift(lam)
     if t.corner is None:
-        return int(_counts_acyclic(t, np.array([float(lam)]))[0])
-    return int(_counts_cyclic(t, np.array([float(lam)]))[0])
+        return _sturm_below(t.diag, t.offdiag, lam)
+    return _count_below_cyclic(t, lam)
 
 
 # -- shifted solves -----------------------------------------------------------
 
 class _ShiftedTridiagSolve:
-    """LDL^T factorization of (T_acyclic - sigma I) without pivoting.
+    """(T - sigma I)^{-1} for the acyclic tridiagonal (diag, off), factored once.
 
-    Tiny pivots either raise SingularShift (strict mode, public solves) or are
-    replaced by signed floors (inverse-iteration mode, where a nearly singular
-    pivot is the desired amplification).
+    Below the spectrum T - sigma I is positive definite, which is exactly
+    when LAPACK dpttrf succeeds: its no-pivot LDL^T solve only adds positive
+    terms when the off-diagonals are non-positive, so a positive right-hand
+    side gives a positive solution (the ground-state positivity guarantee).
+    Other shifts use the partially pivoted LU of dgttrf.  An exactly zero
+    pivot, or one below min_pivot, raises SingularShift.
     """
 
-    def __init__(self, t: SymTridiag, sigma: float, strict: bool):
-        floor = _pivmin(t)
-        strict_floor = t.scale * np.finfo(float).eps * 64.0
-        d, l, neg, min_piv = _kernels.ldl_factor(t.diag, t.offdiag,
-                                                 float(sigma), floor)
-        if strict and min_piv < strict_floor:
+    def __init__(self, diag: np.ndarray, off: np.ndarray, sigma: float,
+                 min_pivot: float = 0.0):
+        self.n = n = len(diag)
+        shifted = diag - sigma
+        d, e, info = _lapack.dpttrf(shifted, off)
+        if info == 0:
+            self._pd, self._factors, pivots = True, (d, e), d
+        else:
+            if n == 2:      # scipy's dgttrf wrapper rejects n = 2: add a decoupled row
+                shifted, off = np.append(shifted, 1.0), np.append(off, 0.0)
+            dl, du, du1, du2, ipiv, info = _lapack.dgttrf(off, shifted, off)
+            if info > 0:
+                raise SingularShift(f"shift {sigma:.6e} is an exact eigenvalue")
+            self._pd, self._factors, pivots = False, (dl, du, du1, du2, ipiv), du[:n]
+        min_piv = float(np.min(np.abs(pivots)))
+        if min_piv < min_pivot:
             raise SingularShift(
-                f"pivot {min_piv:.3e} below threshold {strict_floor:.3e}")
-        self.d, self.l, self.negatives = d, l, neg
+                f"pivot {min_piv:.3e} below threshold {min_pivot:.3e}")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _kernels.ldl_solve(self.d, self.l,
-                                  np.ascontiguousarray(rhs, dtype=float))
+        if self._pd:
+            return _lapack.dpttrs(*self._factors, rhs)[0]
+        pad = len(self._factors[1]) - self.n
+        if pad:
+            rhs = np.concatenate([rhs, np.zeros((pad,) + rhs.shape[1:])])
+        return _lapack.dgttrs(*self._factors, rhs)[0][:self.n]
 
 
-def _banded_apply(t: SymTridiag, sigma: float):
-    """LAPACK banded-solve application of (T_acyclic - sigma I)^{-1}."""
-    ab = np.zeros((3, t.n))
-    ab[0, 1:] = t.offdiag
-    ab[1, :] = t.diag - sigma
-    ab[2, :-1] = t.offdiag
-
-    def solve(rhs):
-        return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
-
-    return solve
+def _strict_pivot(t: SymTridiag) -> float:
+    return t.scale * np.finfo(float).eps * 64.0
 
 
 def _apply_shifted_inverse_cyclic(t: SymTridiag, sigma: float, strict: bool = True):
@@ -184,14 +240,13 @@ def _apply_shifted_inverse_cyclic(t: SymTridiag, sigma: float, strict: bool = Tr
     """
     n = t.n
     c = float(t.corner)
-    base = _banded_apply(t, sigma)
-    # pivot scan once: SingularShift detection for the acyclic part
-    _ShiftedTridiagSolve(SymTridiag(t.diag, t.offdiag), sigma, strict=strict)
+    fac = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma,
+                               _strict_pivot(t) if strict else 0.0)
     # T = T_0 + U C V^T with U = [e_0, e_{n-1}], V = [e_{n-1}, e_0], C = c I
     u = np.zeros((n, 2))
     u[0, 0] = 1.0
     u[-1, 1] = 1.0
-    au = base(u)
+    au = fac.solve(u)
     cinv = np.array([[1.0 / c, 0.0], [0.0, 1.0 / c]])
     cap = cinv + np.array([au[-1], au[0]])
     det = cap[0, 0] * cap[1, 1] - cap[0, 1] * cap[1, 0]
@@ -200,7 +255,7 @@ def _apply_shifted_inverse_cyclic(t: SymTridiag, sigma: float, strict: bool = Tr
     cap_inv = np.array([[cap[1, 1], -cap[0, 1]], [-cap[1, 0], cap[0, 0]]]) / det
 
     def apply(rhs):
-        x0 = base(rhs)
+        x0 = fac.solve(rhs)
         w = np.array([x0[-1], x0[0]])
         return x0 - au @ (cap_inv @ w)
 
@@ -212,12 +267,11 @@ def solve_shifted(t: SymTridiag, sigma: float, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (t.n,):
         raise DegenerateInput("rhs length must match matrix dimension")
+    sigma = _check_shift(sigma)
     if t.corner is None:
-        fac = _ShiftedTridiagSolve(t, sigma, strict=True)
-        x = fac.solve(rhs)
-        r = rhs - (t.matvec(x) - sigma * x)
-        return x + fac.solve(r)
-    apply = _apply_shifted_inverse_cyclic(t, sigma, strict=True)
+        apply = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma, _strict_pivot(t)).solve
+    else:
+        apply = _apply_shifted_inverse_cyclic(t, sigma, strict=True)
     x = apply(rhs)
     r = rhs - (t.matvec(x) - sigma * x)
     return x + apply(r)
@@ -242,77 +296,60 @@ def _stencil_vector(n: int, seq: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-# -- bisection driver ----------------------------------------------------------
+# -- eigenvalue locations -------------------------------------------------------
 
-def _bisect_lowest(t: SymTridiag, k: int, width_tol,
-                   lo: np.ndarray | None = None,
-                   hi: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Intervals (lo_j, hi_j] each containing the j-th eigenvalue, j < k.
+def _interleaved_band(t: SymTridiag) -> np.ndarray:
+    """Upper band storage of the cyclic matrix in the order 0, n-1, 1, n-2, ...
 
-    width_tol may be a scalar or a per-target array; existing brackets can be
-    passed back in to continue refining them.
+    Cyclic neighbours end up at most two places apart, so the permuted
+    matrix is pentadiagonal: band[2 + r - c, c] holds entry (r, c), r <= c.
     """
-    counts = _counts_cyclic if t.corner is not None else _counts_acyclic
-    if lo is None or hi is None:
-        glo, ghi = t.gershgorin()
-        pad = 1e-3 * max(ghi - glo, 1e-6 * t.scale)
-        lo = np.full(k, glo - pad)
-        hi = np.full(k, ghi + pad)
-    else:
-        lo, hi = lo.copy(), hi.copy()
-    width_tol = np.broadcast_to(np.asarray(width_tol, dtype=float), (k,))
-    targets = np.arange(k)
-    for _ in range(220):
-        active = (hi - lo) > width_tol
-        if not np.any(active):
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        c = counts(t, mid)
-        above = c >= targets[active] + 1
-        hi_a, lo_a = hi[active], lo[active]
-        hi_a[above] = mid[above]
-        lo_a[~above] = mid[~above]
-        hi[active], lo[active] = hi_a, lo_a
-    return lo, hi
+    n = t.n
+    perm = np.empty(n, dtype=int)
+    perm[0::2] = np.arange((n + 1) // 2)
+    perm[1::2] = n - 1 - np.arange(n // 2)
+    pos = np.empty(n, dtype=int)
+    pos[perm] = np.arange(n)
+    band = np.zeros((3, n))
+    band[2, pos] = t.diag
+    left, right = pos, np.roll(pos, -1)        # edge i couples i and i+1 mod n
+    rows, cols = np.minimum(left, right), np.maximum(left, right)
+    np.add.at(band, (2 + rows - cols, cols), np.append(t.offdiag, t.corner))
+    return band
 
 
-def _isolating_brackets(t: SymTridiag, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets tight relative to the local eigenvalue gaps.
+def eigvals_lowest(t: SymTridiag, k: int) -> np.ndarray:
+    """k smallest eigenvalues, ascending, from LAPACK alone (no vectors).
 
-    A first pass resolves positions to 1e-9 of the matrix scale; a second
-    pass narrows each bracket to a small fraction of the distance to its
-    neighbours, which is what shifted iterations need for fast convergence.
-    Low-lying gaps of discretized differential operators stay O(1) while the
-    matrix scale grows like h^{-2}, so a scale-relative width is not enough.
+    Acyclic matrices use dstebz bisection; cyclic ones dsbevx on the
+    interleaved pentadiagonal form, asked for values only, since its vectors
+    would need the dense n x n reduction matrix.
     """
-    scale = t.scale
-    lo, hi = _bisect_lowest(t, k, 1e-9 * scale)
-    mids = 0.5 * (lo + hi)
-    gaps = np.full(k, np.inf)
-    if k > 1:
-        d = np.diff(mids)
-        gaps[:-1] = np.minimum(gaps[:-1], d)
-        gaps[1:] = np.minimum(gaps[1:], d)
-    target = np.maximum(1e-13 * scale, np.where(np.isfinite(gaps), 1e-3 * gaps, 1e-13 * scale))
-    target = np.minimum(target, 1e-9 * scale)
-    return _bisect_lowest(t, k, target, lo, hi)
+    _check_k(t, k)
+    if t.corner is None:
+        m, w, _, _, info = _lapack.dstebz(t.diag, t.offdiag, 2, 0.0, 0.0, 1, k,
+                                          0.0, "E")
+        if info != 0 or m != k:
+            raise NoConvergence(f"dstebz returned {m}/{k} values, info={info}")
+        return w[:k].copy()
+    try:
+        return scipy.linalg.eig_banded(_interleaved_band(t), eigvals_only=True,
+                                       select="i", select_range=(0, k - 1),
+                                       check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"dsbevx failed: {exc}") from exc
 
 
-def eigvals_lowest(t: SymTridiag, k: int, width_tol: float | None = None) -> np.ndarray:
-    """k smallest eigenvalues by bisection alone (no vectors)."""
+def _check_k(t: SymTridiag, k: int):
     if not 1 <= k <= t.n:
         raise DegenerateInput(f"need 1 <= k <= n, got k={k}, n={t.n}")
-    if width_tol is None:
-        width_tol = 1e-13 * t.scale
-    lo, hi = _bisect_lowest(t, k, width_tol)
-    return 0.5 * (lo + hi)
 
 
 # -- inverse iteration (acyclic) ----------------------------------------------
 
 def _inverse_iteration(t: SymTridiag, sigma: float, ortho: list[np.ndarray],
                        tol_abs: float) -> tuple[float, np.ndarray, float]:
-    fac = _ShiftedTridiagSolve(t, sigma, strict=False)
+    fac = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma)
     v = _stencil_vector(t.n, 0)
     theta, res = np.nan, np.inf
     for sweep in range(INVIT_SWEEPS):
@@ -336,17 +373,22 @@ def _inverse_iteration(t: SymTridiag, sigma: float, ortho: list[np.ndarray],
 
 def _eigs_lowest_acyclic(t: SymTridiag, k: int, tol: float) -> list[EigenPair]:
     scale = t.scale
-    lo, hi = _isolating_brackets(t, k)
+    lam = eigvals_lowest(t, k)
+    gaps = np.full(k, np.inf)
+    if k > 1:
+        gaps[:-1] = np.diff(lam)
+        gaps[1:] = np.minimum(gaps[1:], gaps[:-1])
+    # a shift a small fraction of the gap below the target gives fast
+    # convergence; below the spectrum the factorization is an M-matrix,
+    # which keeps the ground vector entrywise positive
+    below = np.clip(1e-3 * gaps, 1e-12 * scale, 1e-9 * scale)
     cluster_tol = CLUSTER_TOL * scale
     pairs: list[EigenPair] = []
     group: list[np.ndarray] = []
     for j in range(k):
-        if j > 0 and lo[j] - hi[j - 1] > cluster_tol:
+        if j > 0 and lam[j] - lam[j - 1] > cluster_tol:
             group = []
-        width = hi[j] - lo[j]
-        # shift strictly below the target keeps the factorization an M-matrix
-        # for the ground state, which preserves entrywise positivity
-        sigma = float(lo[j] - max(width, 1e-12 * scale))
+        sigma = float(lam[j] - below[j])
         theta, v, res = _inverse_iteration(t, sigma, group, tol * scale)
         group.append(v)
         pairs.append(EigenPair(theta, v, res))
@@ -422,11 +464,9 @@ def _lanczos_sweep(apply_inv, t: SymTridiag, locked: list[np.ndarray], seq: int,
 
 def _eigs_lowest_cyclic(t: SymTridiag, k: int, tol: float) -> list[EigenPair]:
     scale = t.scale
-    lo, hi = _isolating_brackets(t, k)
-    lam_est = 0.5 * (lo + hi)
-    widths = hi - lo
+    lam_est = eigvals_lowest(t, k)
     spread = max(float(lam_est[-1] - lam_est[0]), 1e-8 * scale)
-    sigma = float(lo[0]) - max(0.05 * spread, 1e-8 * scale)
+    sigma = float(lam_est[0]) - max(0.05 * spread, 1e-8 * scale)
 
     locked: list[EigenPair] = []
     budget = LANCZOS_BUDGET
@@ -448,8 +488,7 @@ def _eigs_lowest_cyclic(t: SymTridiag, k: int, tol: float) -> list[EigenPair]:
             j = len(locked)
             if j >= k:
                 break
-            match_tol = max(8.0 * widths[j], 1e-8 * scale,
-                            1e-8 * abs(lam_est[j]))
+            match_tol = max(1e-8 * scale, 1e-8 * abs(lam_est[j]))
             if abs(theta - lam_est[j]) > match_tol:
                 continue
             for p in locked:
@@ -465,15 +504,14 @@ def _eigs_lowest_cyclic(t: SymTridiag, k: int, tol: float) -> list[EigenPair]:
                 locked.append(EigenPair(theta, y, res))
         if len(locked) < k:
             j = len(locked)
-            sigma = float(lo[j]) - max(0.02 * spread, 1e-8 * scale)
+            sigma = float(lam_est[j]) - max(0.02 * spread, 1e-8 * scale)
     locked.sort(key=lambda p: p.value)
     return locked
 
 
 def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11) -> list[EigenPair]:
     """k smallest eigenpairs, ascending; deterministic, residual <= tol * scale."""
-    if not 1 <= k <= t.n:
-        raise DegenerateInput(f"need 1 <= k <= n, got k={k}, n={t.n}")
+    _check_k(t, k)
     if tol <= 0:
         raise DegenerateInput("tol must be positive")
     if t.corner is None:

@@ -21,7 +21,7 @@ from . import circle_lab, morse_complex
 from .circle_lab import CircleFunction, WittenMatrices
 from .constants import load_constants
 from .errors import CellOutsideGrid, DegenerateInput, MissingConstants, NotSelfIndexed
-from .logspace import LogValue, LogVector, logsumexp_signed
+from .logspace import LogValue, LogVector, _logsum, logsumexp_signed
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,7 +153,6 @@ def stokes_defect(cf: CircleFunction, t: float, u: np.ndarray,
         if diff.sign == 0.0:
             continue
         mids = grid_map.mid_indices(c1.id)
-        from .logspace import _logsum
         mass_log = _logsum(t * w.f_mids[mids] + du.log[mids] + 0.5 * log_h)
         mass_log = max(mass_log, acc.log, ints1[c1.id].log)
         worst = max(worst, math.exp(diff.log - mass_log))

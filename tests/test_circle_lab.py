@@ -38,9 +38,9 @@ def test_example_a_prenormalization():
 
 
 def test_build_requires_zeros():
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput, match="at least one critical point"):
         cl.build_circle_function([], [])
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput, match="even"):
         cl.build_circle_function([1.0], [])       # odd zero count
     with pytest.raises(MeanZeroUnreachable):
         cl.build_circle_function([], [1.0])       # one-signed derivative

@@ -132,3 +132,9 @@ def test_validate_detects_corruption(tmp_path):
     path.write_text(text)
     assert run(["complex", "validate", "--file", str(path),
                 "--outdir", str(tmp_path), "--assert"]) == cli.EXIT_ASSERT
+
+
+def test_workers_default_is_a_sequential_sweep():
+    for argv in (["compare", "fstar", "--example", "A"],
+                 ["circle", "clusters", "--example", "A"]):
+        assert cli.build_parser().parse_args(argv).workers == 1

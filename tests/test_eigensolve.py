@@ -9,6 +9,26 @@ def tridiag(diag, off, corner=None):
     return es.SymTridiag(np.asarray(diag, float), np.asarray(off, float), corner)
 
 
+def random_tridiag(rng, n, cyclic):
+    return tridiag(rng.normal(size=n) * 2, rng.normal(size=n - 1),
+                   rng.normal() if cyclic else None)
+
+
+def assert_counts_exact(t, lams):
+    """count_below equals the dense count wherever the strict count is well posed."""
+    ev = np.linalg.eigvalsh(t.to_dense())
+    checked = 0
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        for lam in lams:
+            if np.min(np.abs(ev - lam)) <= 1e-9 * t.scale:
+                continue
+            assert es.count_below(t, lam) == int(np.sum(ev < lam)), (t, lam)
+            if t.corner is None:
+                assert es.sturm_count(t, lam) == int(np.sum(ev < lam))
+            checked += 1
+    return checked
+
+
 def test_sturm_diagonal_matrix():
     t = tridiag([1.0, 2.0, 3.0], [0.0, 0.0])
     assert es.sturm_count(t, 2.5) == 2
@@ -139,3 +159,108 @@ def test_solve_shifted_singular_raises():
     t = tridiag([1.0, 1.0, 1.0], [0.0, 0.0])
     with pytest.raises(SingularShift):
         es.solve_shifted(t, 1.0, np.array([1.0, 1.0, 1.0]))
+
+
+# -- differential tests against dense eigvalsh ----------------------------------
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_counts_match_dense_random(cyclic):
+    rng = np.random.default_rng(21 + cyclic)
+    checked = 0
+    for n in range(2, 61):
+        checked += assert_counts_exact(random_tridiag(rng, n, cyclic),
+                                       rng.normal(size=6) * 3)
+    assert checked >= 300
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_counts_exact_with_near_zero_pivots(cyclic):
+    """Leading pivots of T - lam I at or near zero, where bordered counts clip."""
+    rng = np.random.default_rng(31 + cyclic)
+    for n in range(2, 61):
+        lam = float(rng.normal())
+        corner = float(rng.normal()) if cyclic else None
+        off = rng.normal(size=n - 1)
+        # constant diagonal at lam: every odd leading block is singular
+        assert_counts_exact(tridiag(np.full(n, lam), off, corner), [lam, lam + 0.3])
+        # prescribed LDL^T pivots, a fifth of them 1e-30 behind couplings of
+        # 1e-15: a bordered elimination's border column grows past 1e140
+        piv = rng.normal(size=n)
+        tiny = rng.integers(0, n - 1, size=max(1, n // 5))
+        piv[tiny] = 1e-30
+        off[tiny] *= 1e-15
+        diag = lam + piv
+        diag[1:] += off ** 2 / piv[:-1]
+        assert_counts_exact(tridiag(diag, off, corner), [lam, lam - 0.5, lam + 0.5])
+
+
+def test_cyclic_count_at_an_eigenvalue_of_the_cut_block():
+    """lam at an eigenvalue of the block left by the first cut: no Schur complement there.
+
+    Eigenvectors of random tridiagonals are localized, so many block
+    eigenvalues also lie within 1e-9 of an eigenvalue of T and are skipped.
+    """
+    rng = np.random.default_rng(41)
+    checked = 0
+    for n in range(3, 61):
+        t = random_tridiag(rng, n, cyclic=True)
+        block = tridiag(t.diag[:-1], t.offdiag[:-1]).to_dense()
+        checked += assert_counts_exact(t, np.linalg.eigvalsh(block))
+    assert checked >= 500
+
+
+@pytest.mark.parametrize("n", [6, 10, 30])
+def test_cyclic_count_when_every_single_cut_is_singular(n):
+    # periodic Laplacian at its centre: every (n-1) block has 2 as an eigenvalue
+    t = tridiag(np.full(n, 2.0), np.full(n - 1, -1.0), -1.0)
+    assert assert_counts_exact(t, [2.0]) == 1
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_eigs_lowest_match_dense_random(cyclic):
+    rng = np.random.default_rng(51 + cyclic)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        for n in range(2, 61):
+            t = random_tridiag(rng, n, cyclic)
+            k = min(n, 1 + n % 6)
+            ev = np.linalg.eigvalsh(t.to_dense())[:k]
+            vals = np.array([p.value for p in es.eigs_lowest(t, k)])
+            assert np.max(np.abs(vals - ev)) <= 1e-10 * t.scale, n
+            assert np.max(np.abs(es.eigvals_lowest(t, k) - ev)) <= 1e-10 * t.scale
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_small_cycles(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(20):
+        t = random_tridiag(rng, n, cyclic=True)
+        ev = np.linalg.eigvalsh(t.to_dense())
+        vals = np.array([p.value for p in es.eigs_lowest(t, n)])
+        assert np.max(np.abs(vals - ev)) <= 1e-10 * t.scale
+        assert_counts_exact(t, np.concatenate([ev - 0.1, ev + 0.1, t.diag]))
+
+
+def test_cyclic_n2_dense_form_adds_the_corner():
+    t = tridiag([1.0, 3.0], [0.5], corner=0.25)
+    assert np.array_equal(t.to_dense(), [[1.0, 0.75], [0.75, 3.0]])
+    x = np.array([1.0, -2.0])
+    assert np.allclose(t.matvec(x), t.to_dense() @ x)
+
+
+@pytest.mark.parametrize("field", ["diag", "offdiag", "corner"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(field, bad):
+    parts = {"diag": np.ones(4), "offdiag": np.full(3, -0.5), "corner": -0.5}
+    if field == "corner":
+        parts["corner"] = bad
+    else:
+        parts[field][1] = bad
+    with pytest.raises(DegenerateInput):
+        es.SymTridiag(**parts)
+
+
+def test_non_finite_shift_rejected():
+    t = tridiag([2.0, 2.0, 2.0], [-1.0, -1.0], corner=-1.0)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(DegenerateInput):
+            es.count_below(t, lam)
