@@ -11,6 +11,17 @@ The difference operator discretizes e^{-tf} d e^{tf} by exact conjugation:
 (Du)_{i+1/2} = (e^{t(f_{i+1}-f_{i+1/2})} u_{i+1} - e^{t(f_i-f_{i+1/2})} u_i)/h.
 This keeps the discrete kernel equal to the sampled e^{-tf} exactly and makes
 summation by parts exact, which the chain-map comparisons depend on.
+
+Everything spectral about one deformation strength is read off one
+`CircleSolve`: the matrices of both degrees on one grid and the lowest
+eigenpairs of each, built once by `circle_solve(cf, t, n_grid, k_eigs)`, the
+only code that assembles or eigensolves a Witten matrix.  Callers (the CLI,
+the tests) build the solves and pass them down: `spectral_clusters` certifies
+the counts on a solve's grid and, given a second solve of the same function
+and t on twice the grid, reports Richardson-extrapolated values (4 E_2n -
+E_n) / 3; `cluster_bases` reads the eigenvectors off the solve, and the
+localized bases, pairings and eq. (7) defects are read off those bases.
+Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import scipy.optimize
 
 from . import eigensolve, oscillator1d
 from .constants import load_constants
-from .eigensolve import EigenPair, SymTridiag
+from .eigensolve import SymTridiag
 from .errors import (AssumptionViolated, ClusterOverlap, DegenerateClassification,
                      DegenerateInput, GridTooCoarse, MeanZeroUnreachable,
                      NotAffinelySelfIndexable, ProjectionDegenerate)
@@ -56,9 +67,6 @@ class CircleFunction:
     offset: float
     critical_points: tuple[CriticalPoint, ...]
     self_indexed: bool = False
-
-    def key(self) -> tuple:
-        return (self.cos_coeffs, self.sin_coeffs, self.offset)
 
     def _series(self, theta, c_fn, s_fn, power: int):
         theta = np.asarray(theta, dtype=float)
@@ -100,10 +108,6 @@ class CircleFunction:
     def m_count(self, degree: int) -> int:
         return sum(1 for p in self.critical_points
                    if p.kind == "nd" and p.index == degree)
-
-    def max_fprime(self) -> float:
-        th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-        return float(np.max(np.abs(self.fprime(th))))
 
 
 def _wrap(theta: float) -> float:
@@ -331,8 +335,8 @@ class WittenMatrices:
         return lv.normalized()
 
 
-def default_n_grid(cf: CircleFunction, t: float, n_factor: int = 1) -> int:
-    need = 40.0 * math.sqrt(t) * n_factor
+def default_n_grid(cf: CircleFunction, t: float) -> int:
+    need = 40.0 * math.sqrt(t)
     return max(4096, 64 * math.ceil(need / 64.0))
 
 
@@ -360,21 +364,49 @@ def assemble_witten(cf: CircleFunction, t: float, n_grid: int) -> WittenMatrices
         SymTridiag(d1_diag, d1_off, corner=d1_corner))
 
 
-_eig_cache: dict[tuple, list[EigenPair]] = {}
+EIG_TOL = 1e-11     # residual bound of the Witten eigenpairs, times scale
 
 
-def lowest_eigs(cf: CircleFunction, t: float, degree: int, k: int,
-                n_grid: int | None = None, tol: float = 1e-11) -> list[EigenPair]:
-    if degree not in (0, 1):
-        raise DegenerateInput("degree must be 0 or 1 on the circle")
+@dataclass(frozen=True)
+class CircleSolve:
+    """The Witten Laplacians of one circle function at one (t, grid), solved.
+
+    Holds the assembled matrices of both degrees and the k_eigs lowest
+    eigenpairs of each degree, every degree solved on its own.  Built only by
+    `circle_solve`, the one place that assembles or eigensolves a Witten
+    matrix; the cluster reports, bases, pairings and chain maps are all read
+    off a solve.  A Richardson-extrapolated report pairs the solve of grid n
+    with a second solve of the same function and t on grid 2n.
+    """
+    cf: CircleFunction
+    k_eigs: int
+    w: WittenMatrices
+    pairs: tuple                  # [degree] -> list[EigenPair], ascending
+
+    @property
+    def t(self) -> float:
+        return self.w.t
+
+    @property
+    def n_grid(self) -> int:
+        return self.w.n_grid
+
+    def matrix(self, degree: int) -> SymTridiag:
+        return self.w.delta0 if degree == 0 else self.w.delta1
+
+    def values(self, degree: int) -> np.ndarray:
+        return np.array([p.value for p in self.pairs[degree]])
+
+
+def circle_solve(cf: CircleFunction, t: float, n_grid: int | None = None,
+                 k_eigs: int = 13) -> CircleSolve:
+    """Assemble Delta0 and Delta1 once and solve each for its k_eigs lowest pairs."""
     if n_grid is None:
         n_grid = default_n_grid(cf, t)
-    key = (cf.key(), t, degree, k, n_grid, tol)
-    if key not in _eig_cache:
-        w = assemble_witten(cf, t, n_grid)
-        mat = w.delta0 if degree == 0 else w.delta1
-        _eig_cache[key] = eigensolve.eigs_lowest(mat, k, tol=tol)
-    return _eig_cache[key]
+    w = assemble_witten(cf, t, n_grid)
+    pairs = tuple(eigensolve.eigs_lowest(mat, k_eigs, tol=EIG_TOL)
+                  for mat in (w.delta0, w.delta1))
+    return CircleSolve(cf, k_eigs, w, pairs)
 
 
 # -- clusters -------------------------------------------------------------------
@@ -418,22 +450,27 @@ def _bd_labels(cf: CircleFunction) -> list[tuple[str, float]]:
     return out
 
 
-def spectral_clusters(cf: CircleFunction, t: float, k_eigs: int = 13,
-                      n_grid: int | None = None, extrapolate: bool = True,
+def spectral_clusters(solve: CircleSolve, doubled: CircleSolve | None = None,
                       constants: dict | None = None,
                       strict_floor: bool = True) -> dict[int, ClusterReport]:
     """Partition the low spectra of both degrees into the interval family.
 
     Eigenvalue counts in each interval are verified exactly through inertia
-    counts; reported values are Richardson-extrapolated over (n, 2n) when
-    extrapolate is set.  strict_floor additionally asserts that nothing sits
-    between the top window and the very-large floor, an asymptotic property
-    that moderate deformation strengths need not satisfy yet.
+    counts on the solve's grid; reported values are Richardson-extrapolated
+    over (n, 2n) when the solve of the doubled grid is given.  strict_floor
+    additionally asserts that nothing sits between the top window and the
+    very-large floor, an asymptotic property that moderate deformation
+    strengths need not satisfy yet.
     """
+    cf, t, n_grid = solve.cf, solve.t, solve.n_grid
+    if doubled is not None and (doubled.cf != cf or doubled.t != t
+                                or doubled.n_grid != 2 * n_grid
+                                or doubled.k_eigs != solve.k_eigs):
+        raise DegenerateInput(
+            "the Richardson partner must solve the same function, t and k_eigs "
+            "on twice the grid")
     consts = constants if constants is not None else load_constants()
     e1, e2 = consts["e"][0], consts["e"][1]
-    if n_grid is None:
-        n_grid = default_n_grid(cf, t)
     eps = choose_epsilon(cf, consts)
     s = t ** (2.0 / 3.0)
     bd = _bd_labels(cf)
@@ -443,19 +480,15 @@ def spectral_clusters(cf: CircleFunction, t: float, k_eigs: int = 13,
     for degree in (0, 1):
         m_k = cf.m_count(degree)
         need = m_k + len(bd) + 1
-        if k_eigs < need:
-            raise DegenerateInput(f"k_eigs={k_eigs} below required {need}")
-        pairs = lowest_eigs(cf, t, degree, k_eigs, n_grid)
-        vals = np.array([p.value for p in pairs])
-        if extrapolate:
-            pairs2 = lowest_eigs(cf, t, degree, k_eigs, 2 * n_grid)
-            vals2 = np.array([p.value for p in pairs2])
-            vals_rep = (4.0 * vals2 - vals) / 3.0
+        if solve.k_eigs < need:
+            raise DegenerateInput(f"k_eigs={solve.k_eigs} below required {need}")
+        vals = solve.values(degree)
+        if doubled is not None:
+            vals_rep = (4.0 * doubled.values(degree) - vals) / 3.0
         else:
             vals_rep = vals
 
-        w = assemble_witten(cf, t, n_grid)
-        mat = w.delta0 if degree == 0 else w.delta1
+        mat = solve.matrix(degree)
         c_small = eigensolve.count_below(mat, eps * s)
         if c_small != m_k:
             raise ClusterOverlap(
@@ -490,36 +523,31 @@ def spectral_clusters(cf: CircleFunction, t: float, k_eigs: int = 13,
                     f"very-large floor, expected {m_k + len(bd)}")
         small = vals_rep[:m_k]
         out[degree] = ClusterReport(degree, t, n_grid, eps, small, large,
-                                    floor, counts, extrapolate)
+                                    floor, counts, doubled is not None)
     return out
 
 
-def scaling_fit(cf: CircleFunction, t_list, k_eigs: int = 13,
-                constants: dict | None = None) -> dict:
+def scaling_fit(reports: list[dict[int, ClusterReport]]) -> dict:
     """Least-squares exponent of the large eigenvalues against t.
 
-    Returns the fitted slope of log E vs log t per birth-death point and the
+    Takes one `spectral_clusters` result per deformation strength and
+    returns the fitted slope of log E vs log t per birth-death point and the
     limiting constant estimate E(t_max) / t_max^{2/3}.
     """
-    t_list = sorted(float(t) for t in t_list)
-    if len(t_list) < 4:
+    if len(reports) < 4:
         raise DegenerateInput("need at least 4 deformation values, geometrically spaced")
-    bd = _bd_labels(cf)
-    if not bd:
+    reports = sorted(reports, key=lambda r: r[0].t)
+    labels = sorted(reports[0][0].large, key=lambda lab: int(lab[2:]))
+    if not labels:
         raise DegenerateInput("scaling fit needs a birth-death point")
-    series: dict[str, list[float]] = {lab: [] for lab, _ in bd}
-    for t in t_list:
-        reports = spectral_clusters(cf, t, k_eigs=k_eigs, constants=constants)
-        for lab, _ in bd:
-            series[lab].append(reports[0].large[lab])
+    t_list = [r[0].t for r in reports]
     out = {"t_list": t_list, "per_bd": {}}
-    for lab, _ in bd:
-        ys = np.log(series[lab])
-        xs = np.log(t_list)
-        slope, _inter = np.polyfit(xs, ys, 1)
-        const = series[lab][-1] / t_list[-1] ** (2.0 / 3.0)
+    for lab in labels:
+        values = [r[0].large[lab] for r in reports]
+        slope, _inter = np.polyfit(np.log(t_list), np.log(values), 1)
+        const = values[-1] / t_list[-1] ** (2.0 / 3.0)
         out["per_bd"][lab] = {"exponent": float(slope), "constant": float(const),
-                              "values": series[lab]}
+                              "values": values}
     return out
 
 
@@ -527,36 +555,33 @@ def scaling_fit(cf: CircleFunction, t_list, k_eigs: int = 13,
 
 @dataclass
 class ClusterBases:
-    """Orthonormal eigenvector bases of the small and large clusters."""
+    """Orthonormal eigenvector bases of the small and large clusters, one degree."""
     degree: int
-    t: float
-    n_grid: int
+    solve: CircleSolve
     small_vectors: np.ndarray          # columns
     small_values: np.ndarray
     large_vectors: dict                # bd label -> vector
     large_values: dict                 # bd label -> eigenvalue (same grid)
 
 
-def cluster_bases(cf: CircleFunction, t: float, k_eigs: int = 13,
-                  n_grid: int | None = None,
-                  constants: dict | None = None,
+def cluster_bases(solve: CircleSolve, constants: dict | None = None,
                   strict_floor: bool = True) -> dict[int, ClusterBases]:
-    """Eigenvector bases per cluster, orthogonal across clusters."""
+    """Eigenvector bases per cluster, orthogonal across clusters.
+
+    The cluster counts are certified on the solve's grid first.
+    """
     consts = constants if constants is not None else load_constants()
-    if n_grid is None:
-        n_grid = default_n_grid(cf, t)
-    reports = spectral_clusters(cf, t, k_eigs=k_eigs, n_grid=n_grid,
-                                extrapolate=False, constants=consts,
-                                strict_floor=strict_floor)
+    reports = spectral_clusters(solve, constants=consts, strict_floor=strict_floor)
+    cf, t = solve.cf, solve.t
     e1 = consts["e"][0]
     eps = reports[0].epsilon
     s = t ** (2.0 / 3.0)
     out = {}
     for degree in (0, 1):
         m_k = cf.m_count(degree)
-        pairs = lowest_eigs(cf, t, degree, k_eigs, n_grid)
+        pairs = solve.pairs[degree]
         small_vecs = np.column_stack([p.vector for p in pairs[:m_k]]) \
-            if m_k else np.zeros((n_grid, 0))
+            if m_k else np.zeros((solve.n_grid, 0))
         small_vals = np.array([p.value for p in pairs[:m_k]])
         large_vecs, large_vals = {}, {}
         for label, mag in _bd_labels(cf):
@@ -568,7 +593,7 @@ def cluster_bases(cf: CircleFunction, t: float, k_eigs: int = 13,
                     f"degree {degree}: window {label} holds {len(hit)} vectors")
             large_vecs[label] = hit[0].vector
             large_vals[label] = hit[0].value
-        out[degree] = ClusterBases(degree, t, n_grid, small_vecs, small_vals,
+        out[degree] = ClusterBases(degree, solve, small_vecs, small_vals,
                                    large_vecs, large_vals)
     return out
 
@@ -602,22 +627,6 @@ def _chart_radius(cf: CircleFunction, p: CriticalPoint) -> float:
     return 0.5 * min(gaps) if gaps else math.pi
 
 
-_profile_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _bd_profile(a: float, t: float, form_sign: int):
-    key = (a, t, form_sign)
-    if key not in _profile_cache:
-        sp = oscillator1d.spectrum(oscillator1d.Anharmonic(a, t, form_sign), 1,
-                                   tol=1e-8, want_vectors=True)
-        x, h = oscillator1d.grid(sp.L, sp.n)
-        v = sp.vectors[:, 0]
-        if v[int(np.argmax(np.abs(v)))] < 0:
-            v = -v
-        _profile_cache[key] = (x, v / np.sqrt(h))
-    return _profile_cache[key]
-
-
 def quasimode(cf: CircleFunction, w: WittenMatrices, degree: int,
               point: CriticalPoint) -> np.ndarray:
     """Cutoff model ground profile for one critical point, unit norm.
@@ -637,7 +646,8 @@ def quasimode(cf: CircleFunction, w: WittenMatrices, degree: int,
         else:
             prof = np.exp(-np.minimum(w.t * (point.f_value - f_here), 700.0))
     else:
-        x, vals = _bd_profile(point.a, w.t, +1 if degree == 1 else -1)
+        x, vals, _ = oscillator1d.ground_profile(
+            oscillator1d.Anharmonic(point.a, w.t, +1 if degree == 1 else -1), tol=1e-8)
         prof = np.interp(s, x, vals, left=0.0, right=0.0)
     q = prof * bump
     nq = np.linalg.norm(q)
@@ -646,22 +656,9 @@ def quasimode(cf: CircleFunction, w: WittenMatrices, degree: int,
     return q / nq
 
 
-def localized_basis(cf: CircleFunction, t: float, degree: int, cluster: str,
-                    bases: dict[int, ClusterBases] | None = None,
-                    constants: dict | None = None,
-                    strict_floor: bool = True) -> dict[str, np.ndarray]:
-    """Cluster basis aligned with critical points via quasimode projection.
-
-    cluster is "small" or a birth-death label ("bd0", ...).  Model quasimodes
-    are projected onto the cluster eigenspace and symmetrically orthonormalized
-    (Gram matrix inverse square root); signs are fixed by positive overlap
-    with the quasimodes.
-    """
-    if bases is None:
-        bases = cluster_bases(cf, t, constants=constants,
-                              strict_floor=strict_floor)
-    cb = bases[degree]
-    w = assemble_witten(cf, t, cb.n_grid)
+def _projected_quasimodes(cb: ClusterBases, cluster: str):
+    """Cluster vectors, labels, quasimodes and the quasimodes' cluster coordinates."""
+    cf, w, degree = cb.solve.cf, cb.solve.w, cb.degree
     if cluster == "small":
         points = [p for p in cf.critical_points
                   if p.kind == "nd" and p.index == degree]
@@ -677,7 +674,18 @@ def localized_basis(cf: CircleFunction, t: float, degree: int, cluster: str,
     if v.shape[1] == 0 or not points:
         raise DegenerateInput(f"empty cluster {cluster} in degree {degree}")
     q = np.column_stack([quasimode(cf, w, degree, p) for p in points])
-    coeff = v.T @ q                      # cluster-coordinates of the quasimodes
+    return v, labels, q, v.T @ q
+
+
+def localized_basis(cb: ClusterBases, cluster: str) -> dict[str, np.ndarray]:
+    """Cluster basis aligned with critical points via quasimode projection.
+
+    cluster is "small" or a birth-death label ("bd0", ...).  Model quasimodes
+    are projected onto the cluster eigenspace and symmetrically orthonormalized
+    (Gram matrix inverse square root); signs are fixed by positive overlap
+    with the quasimodes.
+    """
+    v, labels, q, coeff = _projected_quasimodes(cb, cluster)
     gram = coeff.T @ coeff
     evals, evecs = np.linalg.eigh(gram)
     if evals[0] <= 0 or evals[-1] / evals[0] > 1e6:
@@ -694,20 +702,10 @@ def localized_basis(cf: CircleFunction, t: float, degree: int, cluster: str,
     return out
 
 
-def localization_gram(cf: CircleFunction, t: float, degree: int,
-                      cluster: str = "small",
-                      constants: dict | None = None,
-                      strict_floor: bool = True) -> np.ndarray:
-    """Gram matrix of projected quasimodes (diagnostic: -> identity in t)."""
-    bases = cluster_bases(cf, t, constants=constants,
-                          strict_floor=strict_floor)
-    cb = bases[degree]
-    w = assemble_witten(cf, t, cb.n_grid)
-    points = [p for p in cf.critical_points
-              if p.kind == "nd" and p.index == degree]
-    v = cb.small_vectors
-    q = np.column_stack([quasimode(cf, w, degree, p) for p in points])
-    coeff = v.T @ q
+def localization_gram(cb: ClusterBases) -> np.ndarray:
+    """Gram matrix of the small cluster's projected quasimodes (diagnostic:
+    -> identity in t)."""
+    _, _, _, coeff = _projected_quasimodes(cb, "small")
     return coeff.T @ coeff
 
 
@@ -720,10 +718,7 @@ def _is_numerical_kernel(w: WittenMatrices, value: float) -> bool:
     return abs(value) <= KERNEL_TOL * w.delta0.scale
 
 
-def basis_logvectors(cf: CircleFunction, t: float,
-                     bases: dict[int, ClusterBases] | None = None,
-                     constants: dict | None = None,
-                     strict_floor: bool = True):
+def basis_logvectors(bases: dict[int, ClusterBases]):
     """Labeled signed-log basis vectors of the low clusters, both degrees.
 
     One-dimensional small clusters whose eigenvalue is numerically zero are
@@ -732,19 +727,13 @@ def basis_logvectors(cf: CircleFunction, t: float,
     are lifted grid eigenvectors.  Birth-death 1-form vectors are oriented so
     that <E_y^1, d(t) E_y^0> is positive.
     """
-    if bases is None:
-        bases = cluster_bases(cf, t, constants=constants,
-                              strict_floor=strict_floor)
-    n_grid = bases[0].n_grid
-    w = assemble_witten(cf, t, n_grid)
+    cf, w = bases[0].solve.cf, bases[0].solve.w
     out = {0: {}, 1: {}}
     meta = {0: {}, 1: {}}
     for degree in (0, 1):
         cb = bases[degree]
         if cb.small_vectors.shape[1]:
-            loc = localized_basis(cf, t, degree, "small", bases,
-                                  constants=constants,
-                                  strict_floor=strict_floor)
+            loc = localized_basis(cb, "small")
             single = len(loc) == 1
             for lab, vec in loc.items():
                 if single and _is_numerical_kernel(w, cb.small_values[0]):
@@ -792,6 +781,16 @@ def d_image_log(w: WittenMatrices, lv: LogVector, exact_kernel: bool) -> LogVect
     return w.apply_d_log(lv)
 
 
+def d_pairings(vecs: dict, meta: dict, w: WittenMatrices) -> dict:
+    """<E_b^1, d(t) E_a^0> per (label1, label0) over `basis_logvectors` output."""
+    out = {}
+    for l0, v0 in vecs[0].items():
+        du = d_image_log(w, v0, meta[0][l0]["exact_kernel"])
+        for l1, v1 in vecs[1].items():
+            out[(l1, l0)] = v1.dot(du)
+    return out
+
+
 @dataclass
 class MatrixElements:
     t: float
@@ -803,14 +802,8 @@ class MatrixElements:
     meta0: dict
     meta1: dict
 
-    def raw_float(self, l1: str, l0: str) -> float:
-        return self.raw[(l1, l0)].to_float()
 
-
-def matrix_elements(cf: CircleFunction, t: float,
-                    bases: dict[int, ClusterBases] | None = None,
-                    constants: dict | None = None,
-                    strict_floor: bool = True) -> MatrixElements:
+def matrix_elements(bases: dict[int, ClusterBases]) -> MatrixElements:
     """All pairings <E_b^1, d(t) E_a^0> over the low-cluster bases.
 
     Every pairing is accumulated in signed log space, so exponentially small
@@ -818,40 +811,26 @@ def matrix_elements(cf: CircleFunction, t: float,
     entries are additionally reported with the e^t sqrt(pi/2t) rescaling of
     the normalized small complex.
     """
-    vecs, meta, w = basis_logvectors(cf, t, bases, constants, strict_floor)
-    labels0 = list(vecs[0])
-    labels1 = list(vecs[1])
-    raw = {}
-    rescaled = {}
-    for l0 in labels0:
-        du = d_image_log(w, vecs[0][l0], meta[0][l0]["exact_kernel"])
-        for l1 in labels1:
-            val = vecs[1][l1].dot(du)
-            raw[(l1, l0)] = val
-            if meta[0][l0]["kind"] == "small" and meta[1][l1]["kind"] == "small":
-                scaled = val.scaled(t + 0.5 * math.log(math.pi / (2.0 * t)))
-                rescaled[(l1, l0)] = scaled.to_float()
-    return MatrixElements(t, w.n_grid, labels0, labels1, raw, rescaled,
-                          meta[0], meta[1])
+    vecs, meta, w = basis_logvectors(bases)
+    raw = d_pairings(vecs, meta, w)
+    rescale_log = w.t + 0.5 * math.log(math.pi / (2.0 * w.t))
+    rescaled = {(l1, l0): val.scaled(rescale_log).to_float()
+                for (l1, l0), val in raw.items()
+                if meta[0][l0]["kind"] == "small" and meta[1][l1]["kind"] == "small"}
+    return MatrixElements(w.t, w.n_grid, list(vecs[0]), list(vecs[1]), raw,
+                          rescaled, meta[0], meta[1])
 
 
-def eq7_defect(cf: CircleFunction, t: float,
-               bases: dict[int, ClusterBases] | None = None,
-               constants: dict | None = None,
-               strict_floor: bool = True) -> dict[str, float]:
+def eq7_defect(bases: dict[int, ClusterBases]) -> dict[str, float]:
     """Relative defect of ||d(t) E_y^0||^2 against the large eigenvalue.
 
     Exact supersymmetry of the factored pair makes the squared image norm of
     the 0-form vector equal its eigenvalue on the same grid.
     """
-    if bases is None:
-        bases = cluster_bases(cf, t, constants=constants,
-                              strict_floor=strict_floor)
     cb = bases[0]
-    w = assemble_witten(cf, t, cb.n_grid)
     out = {}
     for lab, vec in cb.large_vectors.items():
-        image_sq = float(np.sum(w.apply_d(vec) ** 2))
+        image_sq = float(np.sum(cb.solve.w.apply_d(vec) ** 2))
         lam = cb.large_values[lab]
         out[lab] = abs(image_sq - lam) / lam
     return out

@@ -188,12 +188,15 @@ def cmd_circle(args) -> int:
     ts = t_schedule(args)
     strict = not args.lenient_floor
 
+    def clusters(t, strict_floor):
+        # Richardson pair: the solve of the default grid n and one of 2n
+        solve = circle_lab.circle_solve(cf, t, k_eigs=args.k_eigs)
+        doubled = circle_lab.circle_solve(cf, t, 2 * solve.n_grid, args.k_eigs)
+        return circle_lab.spectral_clusters(solve, doubled, constants=consts,
+                                            strict_floor=strict_floor)
+
     if args.sub == "clusters":
-        def run(t):
-            return t, circle_lab.spectral_clusters(cf, t, k_eigs=args.k_eigs,
-                                                   constants=consts,
-                                                   strict_floor=strict)
-        results = _sweep(run, ts, args.workers)
+        results = _sweep(lambda t: (t, clusters(t, strict)), ts, args.workers)
         rows = []
         for t, reports in results:
             s = t ** (2.0 / 3.0)
@@ -210,7 +213,7 @@ def cmd_circle(args) -> int:
                 ["degree", "t", "cluster", "label", "eigenvalue",
                  "eigenvalue_over_t23"], rows)
     elif args.sub == "fit":
-        fit = circle_lab.scaling_fit(cf, ts, k_eigs=args.k_eigs, constants=consts)
+        fit = circle_lab.scaling_fit([clusters(t, True) for t in ts])
         rows = []
         e1 = consts["e"][0]
         for lab, data in fit["per_bd"].items():
@@ -226,8 +229,8 @@ def cmd_circle(args) -> int:
         rep.csv("fit.csv", ["label", "exponent", "constant"], rows)
     elif args.sub == "elements":
         rows_out = []
-        rows = whs_compare.matrix_element_check(cf, ts, k_eigs=args.k_eigs,
-                                                constants=consts,
+        solves = [circle_lab.circle_solve(cf, t, k_eigs=args.k_eigs) for t in ts]
+        rows = whs_compare.matrix_element_check(solves, constants=consts,
                                                 strict_floor=strict)
         for r in rows:
             rows_out.append([r.t, r.pair, r.raw, r.rescaled, r.target,
@@ -326,7 +329,8 @@ def cmd_compare(args) -> int:
     ts = t_schedule(args)
 
     def run(t):
-        return whs_compare.f_star(cf, t, k_eigs=args.k_eigs, constants=consts)
+        return whs_compare.f_star(circle_lab.circle_solve(cf, t, k_eigs=args.k_eigs),
+                                  constants=consts)
     reports = _sweep(run, ts, args.workers)
     rows = []
     for r in reports:

@@ -80,16 +80,10 @@ def axis_operator(model: CriticalPointModel, axis: int, in_s: bool, t: float) ->
     return Harmonic(t, shift_sign=shift)
 
 
-_anharm_cache: dict[tuple, np.ndarray] = {}
-
-
 def _axis_levels(op: Model1D, count: int, tol: float) -> np.ndarray:
     if isinstance(op, Harmonic):
         return op.analytic_levels(count)
-    key = (op.a, op.t, op.form_sign, count, tol)
-    if key not in _anharm_cache:
-        _anharm_cache[key] = oscillator1d.spectrum(op, count, tol=tol).values
-    return _anharm_cache[key]
+    return oscillator1d.spectrum(op, count, tol=tol).values
 
 
 def _k_smallest_sums(ladders: list[np.ndarray], m: int):
@@ -170,15 +164,6 @@ class ProductEigenform:
         return out
 
 
-def _ground_profile(op: Anharmonic, tol: float = 1e-9):
-    sp = oscillator1d.spectrum(op, 1, tol=tol, want_vectors=True)
-    x, h = oscillator1d.grid(sp.L, sp.n)
-    v = sp.vectors[:, 0]
-    if v[int(np.argmax(np.abs(v)))] < 0:
-        v = -v
-    return (x, v / np.sqrt(h)), float(sp.values[0])
-
-
 def lowest_eigenforms(model: BirthDeath, t: float,
                       check_tol: float = 1e-4) -> tuple[ProductEigenform, ProductEigenform]:
     """The two lowest localized eigenforms: a k-form and a (k+1)-form.
@@ -192,14 +177,14 @@ def lowest_eigenforms(model: BirthDeath, t: float,
         raise DegenerateInput("t must be positive")
     k, n = model.index, model.dim
     gauss = tuple(("gauss", t) for _ in range(n - 1))
-    prof0, lev0 = _ground_profile(Anharmonic(model.a, t, -1))
-    prof1, lev1 = _ground_profile(Anharmonic(model.a, t, +1))
+    x0, v0, lev0 = oscillator1d.ground_profile(Anharmonic(model.a, t, -1), tol=1e-9)
+    x1, v1, lev1 = oscillator1d.ground_profile(Anharmonic(model.a, t, +1), tol=1e-9)
     omega_k = ProductEigenform(
         degree=k, form_axes=tuple(range(1, k + 1)),
-        profiles=gauss + (("grid",) + prof0,), level=lev0)
+        profiles=gauss + (("grid", x0, v0),), level=lev0)
     omega_k1 = ProductEigenform(
         degree=k + 1, form_axes=tuple(range(1, k + 1)) + (n,),
-        profiles=gauss + (("grid",) + prof1,), level=lev1)
+        profiles=gauss + (("grid", x1, v1),), level=lev1)
     if n <= 2:
         for omega in (omega_k, omega_k1):
             rq = _tensor_rayleigh(model, omega, t)

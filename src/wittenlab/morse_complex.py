@@ -8,6 +8,7 @@ change that removes its two cells while preserving cohomology.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -368,9 +369,14 @@ def hat_basis(c: CochainComplex, incidence: dict[tuple[str, str], int]) -> dict[
     return out
 
 
-def _coords_in_basis(c: CochainComplex, k: int, hats: dict[str, dict[str, int]],
-                     vec: dict[str, int]) -> dict[str, Fraction]:
-    """Express an integer cochain in the hat basis of degree k (exact)."""
+def hat_inverse(c: CochainComplex, k: int,
+                hats: dict[str, dict[str, int]]) -> list[list[Fraction]]:
+    """Exact inverse of the degree-k hat matrix.
+
+    Column j of the hat matrix is hat(cells[k][j]) in cell coordinates, so
+    the inverse maps a degree-k cochain (in the order of cells[k]) to its
+    coordinates in the hat basis.
+    """
     cells = c.cells.get(k, [])
     n = len(cells)
     idx = {cell.id: i for i, cell in enumerate(cells)}
@@ -378,50 +384,60 @@ def _coords_in_basis(c: CochainComplex, k: int, hats: dict[str, dict[str, int]],
     for j, cell in enumerate(cells):
         for cid, v in hats[cell.id].items():
             a[idx[cid]][j] = Fraction(v)
-    b = [Fraction(vec.get(cell.id, 0)) for cell in cells]
-    # dense exact Gaussian elimination (dimensions are tiny)
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    # dense exact Gauss-Jordan elimination (dimensions are tiny)
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             raise NotAComplex("hat vectors do not form a basis")
         a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        b[col] *= inv
+        inv[col], inv[piv] = inv[piv], inv[col]
+        d = a[col][col]
+        a[col] = [x / d for x in a[col]]
+        inv[col] = [x / d for x in inv[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] -= f * b[col]
-    return {cell.id: b[i] for i, cell in enumerate(cells)}
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def hat_coboundary(c: CochainComplex, k: int,
+                   hats: dict[str, dict[str, int]]) -> list[list[Fraction]]:
+    """delta^k w.r.t. the hat bases (exact): column j holds the degree-(k+1)
+    hat coordinates of delta(hat(cells[k][j]))."""
+    lower = c.cells.get(k, [])
+    upper = c.cells.get(k + 1, [])
+    dk = c.matrix(k)
+    inv = hat_inverse(c, k + 1, hats)
+    col_of = {cell.id: j for j, cell in enumerate(lower)}
+    out = [[Fraction(0)] * len(lower) for _ in upper]
+    for j, cell in enumerate(lower):
+        image = [0] * len(upper)
+        for cid, coeff in hats[cell.id].items():
+            jj = col_of[cid]
+            for r in range(len(upper)):
+                image[r] += coeff * dk[r][jj]
+        for i, row in enumerate(inv):
+            out[i][j] = sum(x * y for x, y in zip(row, image))
+    return out
 
 
 def _verify_hat_closure(c: CochainComplex, hats: dict[str, dict[str, int]]):
     """delta(hat_x) must have no component on hat_y0 or hat_y1 vectors."""
     for k in c.degrees():
-        dk = c.matrix(k)
-        if not dk:
-            continue
         upper = c.cells.get(k + 1, [])
         if not upper:
             continue
-        for cell in c.cells[k]:
+        dhat = hat_coboundary(c, k, hats)
+        for j, cell in enumerate(c.cells[k]):
             if cell.kind != "nd":
                 continue
-            vec: dict[str, int] = {}
-            cols = {cc.id: j for j, cc in enumerate(c.cells[k])}
-            for cid, coeff in hats[cell.id].items():
-                j = cols[cid]
-                for r, target in enumerate(upper):
-                    v = dk[r][j]
-                    if v:
-                        vec[target.id] = vec.get(target.id, 0) + coeff * v
-            coords = _coords_in_basis(c, k + 1, hats, vec)
-            for target in upper:
-                if target.kind != "nd" and coords[target.id] != 0:
+            for i, target in enumerate(upper):
+                if target.kind != "nd" and dhat[i][j] != 0:
                     raise NotAComplex(
-                        f"delta(hat {cell.id}) has component {coords[target.id]} "
+                        f"delta(hat {cell.id}) has component {dhat[i][j]} "
                         f"on hat {target.id}")
 
 
@@ -663,9 +679,18 @@ def write_complex(c: CochainComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_number(kind, token: str, line: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise DegenerateInput(
+            f"expected {kind.__name__}, got {token!r} in {line!r}") from None
+
+
 def read_complex(text: str) -> CochainComplex:
     cells: dict[int, list[Cell]] = {}
-    entries = []
+    place: dict[str, tuple[int, int]] = {}       # cell id -> (degree, index)
+    entries: dict[tuple[int, str, str], int] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -674,23 +699,36 @@ def read_complex(text: str) -> CochainComplex:
         if parts[0] == "cell":
             if len(parts) not in (5, 6):
                 raise DegenerateInput(f"malformed cell line: {line!r}")
-            cid, deg, kind, fv = parts[1], int(parts[2]), parts[3], float(parts[4])
+            cid, kind = parts[1], parts[3]
+            deg = _parse_number(int, parts[2], line)
+            fv = _parse_number(float, parts[4], line)
+            if not math.isfinite(fv):
+                raise DegenerateInput(f"non-finite f value in {line!r}")
+            if cid in place:
+                raise DegenerateInput(f"duplicate cell id {cid!r}")
             partner = parts[5] if len(parts) == 6 else None
-            cells.setdefault(deg, []).append(Cell(cid, deg, kind, fv, partner))
+            degree_cells = cells.setdefault(deg, [])
+            place[cid] = (deg, len(degree_cells))
+            degree_cells.append(Cell(cid, deg, kind, fv, partner))
         elif parts[0] == "delta":
             if len(parts) != 5:
                 raise DegenerateInput(f"malformed delta line: {line!r}")
-            entries.append((int(parts[1]), parts[2], parts[3], int(parts[4])))
+            key = (_parse_number(int, parts[1], line), parts[2], parts[3])
+            if key in entries:
+                raise DegenerateInput(f"repeated delta entry {key[1]},{key[2]}")
+            entries[key] = _parse_number(int, parts[4], line)
         else:
             raise DegenerateInput(f"unknown directive {parts[0]!r}")
     delta: dict[int, Matrix] = {}
-    c = CochainComplex(cells, {})
-    for k, rid, cid, val in entries:
-        m = delta.setdefault(k, [[0] * c.dim(k) for _ in range(c.dim(k + 1))])
-        kr, r = c.index_of(rid)
-        kc, j = c.index_of(cid)
+    for (k, rid, cid), val in entries.items():
+        for ref in (rid, cid):
+            if ref not in place:
+                raise DegenerateInput(f"no cell {ref!r}")
+        (kr, r), (kc, j) = place[rid], place[cid]
         if kr != k + 1 or kc != k:
             raise DegenerateInput(
                 f"delta {k} entry {rid},{cid} has mismatched degrees")
-        m[r][j] = val
+        if k not in delta:
+            delta[k] = [[0] * len(cells[k]) for _ in cells[k + 1]]
+        delta[k][r][j] = val
     return CochainComplex(cells, delta)

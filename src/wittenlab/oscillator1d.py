@@ -172,6 +172,17 @@ def spectrum(m: Model1D, k: int, tol: float = 1e-8, L: float | None = None,
             raise NoConvergence(f"grid refinement cap {REFINE_CAP} reached")
 
 
+def ground_profile(m: Anharmonic, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ground state on its grid: nodes, continuum-normalized values (positive
+    at the peak) and the level."""
+    sp = spectrum(m, 1, tol=tol, want_vectors=True)
+    x, h = grid(sp.L, sp.n)
+    v = sp.vectors[:, 0]
+    if v[int(np.argmax(np.abs(v)))] < 0:
+        v = -v
+    return x, v / np.sqrt(h), float(sp.values[0])
+
+
 def verify_reflection(a: float, t: float, k: int, tol: float = 1e-8) -> float:
     """Spectral discrepancy between the two form-sign conjugate operators.
 

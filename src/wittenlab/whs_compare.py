@@ -7,18 +7,23 @@ whose critical Hessians are not +-2 in arclength, and measured bd-block
 normalizations) the resulting matrix converges to the identity w.r.t. the
 hat-transformed cell basis. Every weighted sum runs in signed log space so
 deformation strengths up to t = 800 neither overflow nor underflow.
+
+The spectral side comes in as a `circle_lab.CircleSolve`, one per
+deformation strength, built by the caller with `circle_lab.circle_solve`:
+`f_star` and `matrix_element_check` read the matrices and eigenpairs off it
+and never assemble or solve again.  Hat coordinates use the exact inverse
+of the hat matrix from `morse_complex.hat_inverse`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import circle_lab, morse_complex
-from .circle_lab import CircleFunction, WittenMatrices
+from .circle_lab import CircleFunction, CircleSolve, WittenMatrices
 from .constants import load_constants
 from .errors import CellOutsideGrid, DegenerateInput, MissingConstants, NotSelfIndexed
 from .logspace import LogValue, LogVector, _logsum, logsumexp_signed
@@ -26,25 +31,19 @@ from .logspace import LogValue, LogVector, _logsum, logsumexp_signed
 TWO_PI = 2.0 * math.pi
 
 
-# -- complex caching and cell/grid mapping --------------------------------------
-
-_complex_cache: dict[tuple, tuple] = {}
-
+# -- the cell complex and its cell/grid mapping ---------------------------------
 
 def circle_complex(cf: CircleFunction):
     """Complex, flow graph, incidence table and hat basis for one function."""
-    key = cf.key()
-    if key not in _complex_cache:
-        cplx, graph = morse_complex.circle_complex_from_function(cf)
-        table = morse_complex.incidence_recursive(graph)
-        cell_table = {}
-        for (src, dst), val in table.items():
-            src_cell = src + ":0" if graph.vertices[src].is_bd else src
-            dst_cell = dst + ":0" if graph.vertices[dst].is_bd else dst
-            cell_table[(src_cell, dst_cell)] = val
-        hats = morse_complex.hat_basis(cplx, cell_table)
-        _complex_cache[key] = (cplx, graph, cell_table, hats)
-    return _complex_cache[key]
+    cplx, graph = morse_complex.circle_complex_from_function(cf)
+    table = morse_complex.incidence_recursive(graph)
+    cell_table = {}
+    for (src, dst), val in table.items():
+        src_cell = src + ":0" if graph.vertices[src].is_bd else src
+        dst_cell = dst + ":0" if graph.vertices[dst].is_bd else dst
+        cell_table[(src_cell, dst_cell)] = val
+    hats = morse_complex.hat_basis(cplx, cell_table)
+    return cplx, graph, cell_table, hats
 
 
 def _snap(theta: float, n: int) -> int:
@@ -84,9 +83,8 @@ class CellGrid:
         return (start + np.arange(length)) % self.n
 
 
-def integrate_cochain(cf: CircleFunction, t: float, degree: int, form,
-                      cplx: morse_complex.CochainComplex,
-                      w: WittenMatrices | None = None) -> dict[str, LogValue]:
+def integrate_cochain(w: WittenMatrices, degree: int, form,
+                      cplx: morse_complex.CochainComplex) -> dict[str, LogValue]:
     """e^{tf}-weighted integrals of a discrete form over the cells.
 
     0-cells evaluate the (continuum-normalized) form at the snapped node;
@@ -96,8 +94,7 @@ def integrate_cochain(cf: CircleFunction, t: float, degree: int, form,
     """
     if degree not in (0, 1):
         raise DegenerateInput("degree must be 0 or 1")
-    if w is None:
-        w = circle_lab.assemble_witten(cf, t, circle_lab.default_n_grid(cf, t))
+    t = w.t
     lv = form if isinstance(form, LogVector) else LogVector.from_values(np.asarray(form, float))
     if len(lv) != w.n_grid:
         raise CellOutsideGrid("form length does not match the grid")
@@ -119,8 +116,7 @@ def integrate_cochain(cf: CircleFunction, t: float, degree: int, form,
     return out
 
 
-def stokes_defect(cf: CircleFunction, t: float, u: np.ndarray,
-                  n_grid: int | None = None) -> float:
+def stokes_defect(cf: CircleFunction, w: WittenMatrices, u: np.ndarray) -> float:
     """Backward-relative defect of delta(Int u) = Int(d(t) u) on a raw 0-form.
 
     Each 1-cell defect is normalized by the absolute quadrature mass of its
@@ -128,14 +124,12 @@ def stokes_defect(cf: CircleFunction, t: float, u: np.ndarray,
     telescope through terms up to e^{t(f_peak - f_end)} larger than their
     value, so an absolute comparison would only measure that cancellation).
     """
-    if n_grid is None:
-        n_grid = circle_lab.default_n_grid(cf, t)
-    w = circle_lab.assemble_witten(cf, t, n_grid)
+    t = w.t
     cplx, _, _, _ = circle_complex(cf)
-    ints0 = integrate_cochain(cf, t, 0, u, cplx, w)
+    ints0 = integrate_cochain(w, 0, u, cplx)
     lv = LogVector.from_values(np.asarray(u, float))
     du = w.apply_d_log(lv)
-    ints1 = integrate_cochain(cf, t, 1, du, cplx, w)
+    ints1 = integrate_cochain(w, 1, du, cplx)
     grid_map = CellGrid.build(cplx, w.n_grid)
     log_h = math.log(w.h)
     delta0 = cplx.matrix(0)
@@ -226,33 +220,12 @@ class ChainMapReport:
 
 def _hat_coordinates(cplx, hats, degree, vec: dict[str, LogValue]) -> dict[str, LogValue]:
     """Coordinates of a signed-log cochain w.r.t. the hat basis (exact ints)."""
-    cells = cplx.cells.get(degree, [])
-    ids = [c.id for c in cells]
-    p = [[Fraction(0)] * len(ids) for _ in ids]
-    for j, cid in enumerate(ids):
-        for rid, vv in hats[cid].items():
-            p[ids.index(rid)][j] = Fraction(vv)
-    # invert the (unimodular) hat matrix exactly, then combine log values
-    n = len(ids)
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    a = [row[:] for row in p]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        inv[col] = [x / d for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    ids = [c.id for c in cplx.cells.get(degree, [])]
+    inv = morse_complex.hat_inverse(cplx, degree, hats)
     out = {}
-    for i, cid in enumerate(ids):
+    for cid, row in zip(ids, inv):
         acc = LogValue(0.0, -np.inf)
-        for j, src in enumerate(ids):
-            coeff = inv[i][j]
+        for src, coeff in zip(ids, row):
             if coeff != 0 and vec[src].sign != 0.0:
                 acc = acc + vec[src].scaled(math.log(abs(coeff)),
                                             1.0 if coeff > 0 else -1.0)
@@ -260,8 +233,7 @@ def _hat_coordinates(cplx, hats, degree, vec: dict[str, LogValue]) -> dict[str, 
     return out
 
 
-def f_star(cf: CircleFunction, t: float, k_eigs: int = 13,
-           constants: dict | None = None) -> ChainMapReport:
+def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
     """The normalized integration chain map and its distance from identity.
 
     Requires an affinely self-indexed function.  Column conventions:
@@ -271,22 +243,17 @@ def f_star(cf: CircleFunction, t: float, k_eigs: int = 13,
     measured counterparts of the displayed asymptotic normalizations, which
     is what makes the block limits exact instead of order t^{-1/3} accurate.
     """
+    cf, t = solve.cf, solve.t
     if not cf.self_indexed:
         raise NotSelfIndexed(
             "chain-map comparison needs min -> 0 / max -> 1; "
             "use the Agmon-rate matrix element checks instead")
     consts = constants if constants is not None else load_constants()
     cplx, graph, inc_table, hats = circle_complex(cf)
-    bases = circle_lab.cluster_bases(cf, t, k_eigs=k_eigs, constants=consts)
-    vecs, meta, w = circle_lab.basis_logvectors(cf, t, bases, consts)
+    bases = circle_lab.cluster_bases(solve, constants=consts)
+    vecs, meta, w = circle_lab.basis_logvectors(bases)
     norms = normalizations(cf, t, consts)
-
-    # d(t) images of the degree-0 basis against the degree-1 basis
-    raw_elems = {}
-    for l0, v0 in vecs[0].items():
-        dv = circle_lab.d_image_log(w, v0, meta[0][l0]["exact_kernel"])
-        for l1, v1 in vecs[1].items():
-            raw_elems[(l1, l0)] = v1.dot(dv)
+    raw_elems = circle_lab.d_pairings(vecs, meta, w)
 
     # measured norm of d(t) E_y^0 per birth-death point (= sqrt of the large
     # eigenvalue); the displayed diagonal normalization is its reciprocal
@@ -302,7 +269,7 @@ def f_star(cf: CircleFunction, t: float, k_eigs: int = 13,
     row_labels = {}
     col_labels = {}
     deviation = 0.0
-    delta_hat = _delta_in_hats(cplx, hats)
+    delta_hat = np.array(morse_complex.hat_coboundary(cplx, 0, hats), dtype=float)
     bd_cols0: dict[str, np.ndarray] = {}
     for degree in (0, 1):
         cells = cplx.cells[degree]
@@ -318,7 +285,7 @@ def f_star(cf: CircleFunction, t: float, k_eigs: int = 13,
                 bdlab = lab.split(":")[0]
                 columns.append(delta_hat @ bd_cols0[bdlab])
                 continue
-            ints = integrate_cochain(cf, t, degree, vecs[degree][lab], cplx, w)
+            ints = integrate_cochain(w, degree, vecs[degree][lab], cplx)
             coords = _hat_coordinates(cplx, hats, degree, ints)
             if kind == "small":
                 pref = norms.small_prefactor_log[degree] \
@@ -380,26 +347,6 @@ def _identity_pairing(ids: list[str], labs: list[str]) -> np.ndarray:
     return ident
 
 
-def _delta_in_hats(cplx, hats) -> np.ndarray:
-    """The degree-0 coboundary as an exact matrix w.r.t. the hat bases."""
-    cells0 = cplx.cells[0]
-    cells1 = cplx.cells[1]
-    d0 = cplx.matrix(0)
-    out = np.zeros((len(cells1), len(cells0)))
-    for j, c0 in enumerate(cells0):
-        vec: dict[str, int] = {}
-        for cid, coeff in hats[c0.id].items():
-            jj = [c.id for c in cells0].index(cid)
-            for r, c1 in enumerate(cells1):
-                v = d0[r][jj]
-                if v:
-                    vec[c1.id] = vec.get(c1.id, 0) + coeff * v
-        coords = morse_complex._coords_in_basis(cplx, 1, hats, vec)
-        for i, c1 in enumerate(cells1):
-            out[i, j] = float(coords[c1.id])
-    return out
-
-
 # -- matrix element limits ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -413,8 +360,7 @@ class PairingRow:
     label: str
 
 
-def matrix_element_check(cf: CircleFunction, t_list, k_eigs: int = 13,
-                         constants: dict | None = None,
+def matrix_element_check(solves: list[CircleSolve], constants: dict | None = None,
                          strict_floor: bool = True) -> list[PairingRow]:
     """Convergence table of the cluster-basis pairings under d(t).
 
@@ -424,8 +370,14 @@ def matrix_element_check(cf: CircleFunction, t_list, k_eigs: int = 13,
     sqrt(e1) |a t|^{1/3} and compared against 1; all cross pairings are
     compared against 0.  Rows of non-self-indexed functions use the actual
     critical-value differences (the Agmon rates between comparable points)
-    and carry the "extension" label.
+    and carry the "extension" label.  Takes one solve of the function per
+    deformation strength; rows come in increasing t.
     """
+    if not solves:
+        raise DegenerateInput("need at least one solve")
+    cf = solves[0].cf
+    if any(s.cf != cf for s in solves):
+        raise DegenerateInput("all solves must be of one function")
     consts = constants if constants is not None else load_constants()
     e1 = consts["e"][0]
     cplx, graph, inc_table, hats = circle_complex(cf)
@@ -436,9 +388,10 @@ def matrix_element_check(cf: CircleFunction, t_list, k_eigs: int = 13,
     max_pts = {f"max{i}": p for i, p in enumerate(maxs)}
     ext = "" if cf.self_indexed else "-extension"
     rows = []
-    for t in sorted(float(x) for x in t_list):
-        me = circle_lab.matrix_elements(cf, t, constants=consts,
-                                        strict_floor=strict_floor)
+    for solve in sorted(solves, key=lambda s: s.t):
+        t = solve.t
+        me = circle_lab.matrix_elements(
+            circle_lab.cluster_bases(solve, constants=consts, strict_floor=strict_floor))
         for (l1, l0), lv in sorted(me.raw.items()):
             raw = lv.to_float()
             if l0 in min_pts and l1 in max_pts:

@@ -40,3 +40,24 @@ def a_sweep():
 @pytest.fixture(scope="session")
 def b_sweep():
     return circle_lab.default_t_schedule("B")
+
+
+# One CircleSolve per (function, t, grid), shared by every test that reads it.
+
+@pytest.fixture(scope="session")
+def a_solves(example_a, a_sweep):
+    """Example A on the default grid of each t in its sweep."""
+    return {t: circle_lab.circle_solve(example_a, t) for t in a_sweep}
+
+
+@pytest.fixture(scope="session")
+def a_solves_doubled(example_a, a_solves):
+    """Example A on twice the default grid: the Richardson partners."""
+    return {t: circle_lab.circle_solve(example_a, t, 2 * s.n_grid)
+            for t, s in a_solves.items()}
+
+
+@pytest.fixture(scope="session")
+def b_solves(example_b, b_sweep):
+    """Example B on the default grid of each t in its sweep."""
+    return {t: circle_lab.circle_solve(example_b, t) for t in b_sweep}

@@ -82,20 +82,23 @@ def test_criterion_05_local_multiplicity(consts):
             f"{tagged[0][1]},{tagged[1][1]}; third {tagged[2][0]:.4f} >= {floor3:.4f}")
 
 
-def test_criterion_06_cluster_counts_and_scaling(example_a, a_sweep, consts):
+def test_criterion_06_cluster_counts_and_scaling(a_solves, a_solves_doubled,
+                                                 a_sweep, consts):
     ok = True
     details = []
+    sweep_reports = []
     for t in a_sweep:
-        reports = cl.spectral_clusters(example_a, t, constants=consts)
-        w = cl.assemble_witten(example_a, t, reports[0].n_grid)
+        reports = cl.spectral_clusters(a_solves[t], a_solves_doubled[t],
+                                       constants=consts)
+        sweep_reports.append(reports)
         for degree in (0, 1):
             r = reports[degree]
-            mat = w.delta0 if degree == 0 else w.delta1
+            mat = a_solves[t].matrix(degree)
             small_ok = (r.counts["small"] == 1
                         and abs(r.small[0]) <= 1e-8 * mat.scale)
             window_ok = r.counts["bd0"] == 1
             ok = ok and small_ok and window_ok
-    fit = cl.scaling_fit(example_a, a_sweep, constants=consts)
+    fit = cl.scaling_fit(sweep_reports)
     expo = fit["per_bd"]["bd0"]["exponent"]
     const = fit["per_bd"]["bd0"]["constant"]
     target = consts["e"][0] * (SQRT3 / 9.0) ** (2.0 / 3.0)
@@ -107,25 +110,22 @@ def test_criterion_06_cluster_counts_and_scaling(example_a, a_sweep, consts):
             "; ".join(details))
 
 
-def test_criterion_07_image_norm_identity(example_a, a_sweep, consts):
+def test_criterion_07_image_norm_identity(a_solves, a_sweep, consts):
     worst = 0.0
     for t in a_sweep:
-        defects = cl.eq7_defect(example_a, t, constants=consts)
+        defects = cl.eq7_defect(cl.cluster_bases(a_solves[t], constants=consts))
         worst = max(worst, max(defects.values()))
     _report(7, "||d(t) E0||^2 equals the paired eigenvalue", worst <= 1e-8,
             f"max rel defect {worst:.2e}")
 
 
-def test_criterion_08_supersymmetric_pairing(example_a, example_b, a_sweep,
-                                             b_sweep):
+def test_criterion_08_supersymmetric_pairing(a_solves, b_solves):
     worst = 0.0
-    for cf, sweep in ((example_a, a_sweep), (example_b, b_sweep)):
-        for t in sweep:
-            n = cl.default_n_grid(cf, t)
-            p0 = cl.lowest_eigs(cf, t, 0, 13, n)
-            p1 = cl.lowest_eigs(cf, t, 1, 13, n)
-            w = cl.assemble_witten(cf, t, n)
-            thresh = 1e-8 * w.delta0.scale
+    for solves in (a_solves, b_solves):
+        for solve in solves.values():
+            # each degree has its own eigensolve in the solve
+            p0, p1 = solve.pairs[0], solve.pairs[1]
+            thresh = 1e-8 * solve.w.delta0.scale
             nz0 = np.array([p.value for p in p0 if p.value > thresh])[:10]
             nz1 = np.array([p.value for p in p1 if p.value > thresh])[:10]
             assert len(nz0) == len(nz1) == 10
@@ -160,8 +160,8 @@ def test_criterion_09_elimination_and_incidence():
             f"{betti_fail}/100 complex failures, {dag_fail}/200 DAG mismatches")
 
 
-def test_criterion_10_chain_map_convergence(example_a, a_sweep, consts):
-    reports = [wc.f_star(example_a, t, constants=consts) for t in a_sweep]
+def test_criterion_10_chain_map_convergence(a_solves, a_sweep, consts):
+    reports = [wc.f_star(a_solves[t], constants=consts) for t in a_sweep]
     devs = [r.deviation for r in reports]
     monotone = all(b < a for a, b in zip(devs, devs[1:]))
     slope = float(np.polyfit(np.log(a_sweep), np.log(devs), 1)[0])
@@ -172,16 +172,15 @@ def test_criterion_10_chain_map_convergence(example_a, a_sweep, consts):
             f"slope {slope:.3f}; defect(800) {defect_800:.2e}")
 
 
-def test_criterion_11_matrix_element_limits(example_a, example_b, a_sweep,
-                                            b_sweep, consts):
-    rows_a = wc.matrix_element_check(example_a, a_sweep, constants=consts)
+def test_criterion_11_matrix_element_limits(a_solves, b_solves, b_sweep, consts):
+    rows_a = wc.matrix_element_check(list(a_solves.values()), constants=consts)
     by_a = {(r.t, r.pair): r for r in rows_a}
     bd = by_a[(800.0, "bd0:1<-bd0:0")]
     bd_ok = 0.95 <= bd.rescaled <= 1.05
     nd_a = by_a[(800.0, "max0<-min0")]
     nd_a_ok = nd_a.label == "nd" and nd_a.abs_err <= 0.2
 
-    rows_b = wc.matrix_element_check(example_b, b_sweep, constants=consts,
+    rows_b = wc.matrix_element_check(list(b_solves.values()), constants=consts,
                                      strict_floor=False)
     t_max = max(b_sweep)
     nd_b = [r for r in rows_b if r.t == t_max and r.label == "nd-extension"]

@@ -99,10 +99,9 @@ def test_discrete_kernel_is_sampled_exponential(example_a):
 
 def test_supersymmetric_pairing(example_a):
     t = 100.0
-    p0 = cl.lowest_eigs(example_a, t, 0, 6, 4096)
-    p1 = cl.lowest_eigs(example_a, t, 1, 6, 4096)
-    w = cl.assemble_witten(example_a, t, 4096)
-    thresh = 1e-8 * w.delta0.scale
+    solve = cl.circle_solve(example_a, t, 4096, 6)
+    p0, p1 = solve.pairs[0], solve.pairs[1]
+    thresh = 1e-8 * solve.w.delta0.scale
     nz0 = [p.value for p in p0 if p.value > thresh]
     nz1 = [p.value for p in p1 if p.value > thresh]
     assert len(nz0) == len(nz1) == 5
@@ -142,8 +141,9 @@ def test_choose_epsilon_assumption_violated(example_a, consts):
         cl.choose_epsilon(cf, consts)
 
 
-def test_spectral_clusters_counts_and_pairing(example_a, consts):
-    reports = cl.spectral_clusters(example_a, 200.0, constants=consts)
+def test_spectral_clusters_counts_and_pairing(a_solves, a_solves_doubled, consts):
+    reports = cl.spectral_clusters(a_solves[200.0], a_solves_doubled[200.0],
+                                   constants=consts)
     for degree in (0, 1):
         r = reports[degree]
         assert r.counts["small"] == 1
@@ -155,13 +155,15 @@ def test_spectral_clusters_counts_and_pairing(example_a, consts):
 
 
 def test_spectral_clusters_morse(example_morse, consts):
-    reports = cl.spectral_clusters(example_morse, 150.0, constants=consts)
+    solve = cl.circle_solve(example_morse, 150.0)
+    doubled = cl.circle_solve(example_morse, 150.0, 2 * solve.n_grid)
+    reports = cl.spectral_clusters(solve, doubled, constants=consts)
     assert reports[0].large == {} and reports[0].very_large_floor is None
     assert reports[0].counts["small"] == 1
     # smallest nonzero eigenvalue scales like t (positive limit)
     ratios = []
     for t in (150.0, 300.0):
-        pairs = cl.lowest_eigs(example_morse, t, 0, 2, 4096)
+        pairs = cl.circle_solve(example_morse, t, 4096, 2).pairs[0]
         ratios.append(pairs[1].value / t)
     assert ratios[0] > 0 and ratios[1] > 0
     assert abs(ratios[1] - ratios[0]) / ratios[0] <= 0.2
@@ -169,38 +171,41 @@ def test_spectral_clusters_morse(example_morse, consts):
 
 def test_cluster_overlap_at_tiny_t(example_a, consts):
     with pytest.raises(ClusterOverlap):
-        cl.spectral_clusters(example_a, 3.0, n_grid=4096, constants=consts)
+        cl.spectral_clusters(cl.circle_solve(example_a, 3.0, 4096), constants=consts)
 
 
-def test_grid_doubling_stability(example_a, consts):
+def test_grid_doubling_stability(example_a, a_solves, a_solves_doubled, consts):
     t = 100.0
-    r1 = cl.spectral_clusters(example_a, t, n_grid=4096, constants=consts)
-    r2 = cl.spectral_clusters(example_a, t, n_grid=8192, constants=consts)
+    s4096, s8192 = a_solves[t], a_solves_doubled[t]
+    assert (s4096.n_grid, s8192.n_grid) == (4096, 8192)
+    s16384 = cl.circle_solve(example_a, t, 16384)
+    r1 = cl.spectral_clusters(s4096, s8192, constants=consts)
+    r2 = cl.spectral_clusters(s8192, s16384, constants=consts)
     for degree in (0, 1):
         a = r1[degree].large["bd0"]
         b = r2[degree].large["bd0"]
         assert abs(a - b) / b <= 1e-6
 
 
-def test_scaling_fit_requires_four_points(example_a):
+def test_scaling_fit_requires_four_points(a_solves, consts):
     with pytest.raises(DegenerateInput):
-        cl.scaling_fit(example_a, [100.0])
+        cl.scaling_fit([cl.spectral_clusters(a_solves[100.0], constants=consts)])
 
 
-def test_cluster_bases_small_is_kernel(example_a, consts):
+def test_cluster_bases_small_is_kernel(a_solves, consts):
     t = 100.0
-    bases = cl.cluster_bases(example_a, t, constants=consts)
-    w = cl.assemble_witten(example_a, t, bases[0].n_grid)
+    bases = cl.cluster_bases(a_solves[t], constants=consts)
+    w = a_solves[t].w
     u = np.exp(-t * w.f_nodes)
     u /= np.linalg.norm(u)
     v = bases[0].small_vectors[:, 0]
     assert abs(abs(np.dot(u, v)) - 1.0) <= 1e-10
 
 
-def test_cluster_bases_d_image_proportionality(example_a, consts):
+def test_cluster_bases_d_image_proportionality(a_solves, consts):
     t = 100.0
-    bases = cl.cluster_bases(example_a, t, constants=consts)
-    w = cl.assemble_witten(example_a, t, bases[0].n_grid)
+    bases = cl.cluster_bases(a_solves[t], constants=consts)
+    w = a_solves[t].w
     e0 = bases[0].large_vectors["bd0"]
     e1 = bases[1].large_vectors["bd0"]
     img = w.apply_d(e0)
@@ -210,28 +215,32 @@ def test_cluster_bases_d_image_proportionality(example_a, consts):
     assert 1.0 - cos <= 1e-10
 
 
-def test_eq7(example_a, consts):
-    d = cl.eq7_defect(example_a, 400.0, constants=consts)
+def test_eq7(a_solves, consts):
+    d = cl.eq7_defect(cl.cluster_bases(a_solves[400.0], constants=consts))
     assert d["bd0"] <= 1e-8
 
 
-def test_localized_basis_single_dim_sign(example_a, consts):
+def test_localized_basis_single_dim_sign(example_a, a_solves, consts):
     t = 100.0
-    bases = cl.cluster_bases(example_a, t, constants=consts)
-    loc = cl.localized_basis(example_a, t, 0, "small", bases, constants=consts)
+    bases = cl.cluster_bases(a_solves[t], constants=consts)
+    loc = cl.localized_basis(bases[0], "small")
     v = loc["min0"]
-    w = cl.assemble_witten(example_a, t, bases[0].n_grid)
+    w = a_solves[t].w
     mn = example_a.minima[0]
     q = cl.quasimode(example_a, w, 0, mn)
     assert np.dot(v, q) > 0
     assert abs(abs(np.dot(v, bases[0].small_vectors[:, 0])) - 1.0) <= 1e-10
 
 
-def test_localized_mass_example_b(example_b, consts):
-    t = 300.0
-    loc = cl.localized_basis(example_b, t, 0, "small", constants=consts,
-                             strict_floor=False)
-    w = cl.assemble_witten(example_b, t, cl.default_n_grid(example_b, t))
+@pytest.fixture(scope="module")
+def b_solve_300(example_b):
+    return cl.circle_solve(example_b, 300.0)
+
+
+def test_localized_mass_example_b(example_b, b_solve_300, consts):
+    bases = cl.cluster_bases(b_solve_300, constants=consts, strict_floor=False)
+    loc = cl.localized_basis(bases[0], "small")
+    w = b_solve_300.w
     th = np.arange(w.n_grid) * w.h
     for lab, p in zip(sorted(loc), example_b.minima):
         s = cl._arc_distance(th, p.theta)
@@ -240,25 +249,68 @@ def test_localized_mass_example_b(example_b, consts):
         assert mass >= 0.9
 
 
-def test_gram_converges_to_identity(example_b, consts):
+def test_gram_converges_to_identity(example_b, b_solve_300, consts):
     defects = []
-    for t in (150.0, 300.0):
-        g = cl.localization_gram(example_b, t, 0, constants=consts,
-                                 strict_floor=False)
+    for solve in (cl.circle_solve(example_b, 150.0), b_solve_300):
+        bases = cl.cluster_bases(solve, constants=consts, strict_floor=False)
+        g = cl.localization_gram(bases[0])
         defects.append(np.max(np.abs(g - np.eye(len(g)))))
     assert defects[1] < defects[0]
 
 
 def test_matrix_elements_cross_bd(example_two_bd, consts):
-    me = cl.matrix_elements(example_two_bd, 200.0, constants=consts,
-                            strict_floor=False)
+    bases = cl.cluster_bases(cl.circle_solve(example_two_bd, 200.0),
+                             constants=consts, strict_floor=False)
+    me = cl.matrix_elements(bases)
     for (l1, l0), lv in me.raw.items():
         b1, b0 = l1.split(":")[0], l0.split(":")[0]
         if l1.startswith("bd") and l0.startswith("bd") and b1 != b0:
             assert abs(lv.to_float()) <= 1e-8
 
 
-def test_matrix_elements_small_block_rescaled(example_a, consts):
-    me = cl.matrix_elements(example_a, 400.0, constants=consts)
+def test_matrix_elements_small_block_rescaled(a_solves, consts):
+    me = cl.matrix_elements(cl.cluster_bases(a_solves[400.0], constants=consts))
     val = me.rescaled_small[("max0", "min0")]
     assert abs(val) <= 0.1
+
+
+def test_richardson_partner_must_double_the_grid(a_solves, a_solves_doubled, consts):
+    with pytest.raises(DegenerateInput, match="twice the grid"):
+        cl.spectral_clusters(a_solves[100.0], a_solves_doubled[200.0],
+                             constants=consts)
+    with pytest.raises(DegenerateInput, match="twice the grid"):
+        cl.spectral_clusters(a_solves[100.0], a_solves[100.0], constants=consts)
+
+
+def test_one_assembly_per_grid_and_one_eigensolve_per_degree(example_a, consts,
+                                                             monkeypatch):
+    from wittenlab import whs_compare as wc
+    assembled, solved = [], []
+    real_assemble, real_eigs = cl.assemble_witten, eigensolve.eigs_lowest
+
+    def assemble(cf, t, n_grid):
+        assembled.append((t, n_grid))
+        return real_assemble(cf, t, n_grid)
+
+    def eigs_lowest(t, k, tol=1e-11):
+        if t.corner is not None:           # the Witten matrices are cyclic
+            solved.append((t.n, id(t)))
+        return real_eigs(t, k, tol=tol)
+
+    monkeypatch.setattr(cl, "assemble_witten", assemble)
+    monkeypatch.setattr(eigensolve, "eigs_lowest", eigs_lowest)
+
+    # coarse grids keep this cheap; the call pattern does not depend on n
+    t, n = 200.0, 1024
+    solve = cl.circle_solve(example_a, t, n)
+    doubled = cl.circle_solve(example_a, t, 2 * n)
+    cl.spectral_clusters(solve, doubled, constants=consts)
+    assert assembled == [(t, n), (t, 2 * n)]
+    assert sorted(size for size, _ in solved) == [n, n, 2 * n, 2 * n]
+    assert len(set(solved)) == 4                # one solve per (degree, grid)
+
+    assembled.clear()
+    solved.clear()
+    wc.f_star(cl.circle_solve(example_a, 100.0, n), constants=consts)
+    assert assembled == [(100.0, n)]
+    assert len(solved) == len(set(solved)) == 2

@@ -245,3 +245,37 @@ def test_interchange_malformed():
         mc.read_complex("cell onlythree 0\n")
     with pytest.raises(DegenerateInput):
         mc.read_complex("bogus directive\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("cell x zero nd 0.0\n", "expected int"),                    # degree
+    ("cell x 0 nd 0.0\ncell z 1 nd 1.0\ndelta 0 z x one\n", "expected int"),
+    ("cell x 0 nd low\n", "expected float"),
+    ("cell x 0 nd 0.0\ncell x 1 nd 1.0\n", "duplicate cell id"),
+    ("cell x 0 nd 0.0\ncell z 1 nd 1.0\ndelta 0 z x 1\ndelta 0 z x 2\n",
+     "repeated delta entry"),
+    ("cell x 0 nd nan\n", "non-finite"),
+], ids=["degree", "entry", "f_value", "duplicate_id", "repeated_delta", "nan_f"])
+def test_read_complex_rejects_bad_input(text, match):
+    with pytest.raises(DegenerateInput, match=match):
+        mc.read_complex(text)
+
+
+def test_read_complex_unknown_cell_in_delta():
+    with pytest.raises(DegenerateInput, match="no cell"):
+        mc.read_complex("cell x 0 nd 0.0\ndelta 0 z x 1\n")
+
+
+@pytest.mark.parametrize("name", ["example_a", "example_b", "example_two_bd"])
+def test_hat_inverse_is_exact(name, request):
+    from fractions import Fraction
+    cplx, _, _, hats = whs_compare.circle_complex(request.getfixturevalue(name))
+    for k in cplx.degrees():
+        ids = [c.id for c in cplx.cells[k]]
+        hat = [[Fraction(hats[col].get(row, 0)) for col in ids] for row in ids]
+        inv = mc.hat_inverse(cplx, k, hats)
+        n = len(ids)
+        for left, right in ((hat, inv), (inv, hat)):
+            prod = [[sum(left[i][m] * right[m][j] for m in range(n))
+                     for j in range(n)] for i in range(n)]
+            assert prod == [[int(i == j) for j in range(n)] for i in range(n)]

@@ -19,28 +19,27 @@ def test_integrate_constant_one_form_full_circle():
                              geometry={"p": {"theta": 0.0},
                                        "c": {"ends": (pt, pt), "orient": 1}})
     form = np.full(n, math.sqrt(w.h))     # continuum value 1 at midpoints
-    out = wc.integrate_cochain(zero, 4.0, 1, form, cplx, w)
+    out = wc.integrate_cochain(w, 1, form, cplx)
     assert abs(out["c"].to_float() - 2 * math.pi) <= 1e-10
 
 
-def test_integrate_kernel_at_min_cell(example_a, consts):
+def test_integrate_kernel_at_min_cell(example_a, a_solves):
     # e^{tf} weight cancels e^{-tf} at the cell point: the ground amplitude
     t = 200.0
-    bases = cl.cluster_bases(example_a, t, constants=consts)
-    w = cl.assemble_witten(example_a, t, bases[0].n_grid)
+    w = a_solves[t].w
     cplx, _, _, _ = wc.circle_complex(example_a)
     lv = w.kernel_node_logvec()
-    out = wc.integrate_cochain(example_a, t, 0, lv, cplx, w)
+    out = wc.integrate_cochain(w, 0, lv, cplx)
     val = out["min0"].to_float()
     # (t f''(min)/pi)^{1/4} is the continuum ground amplitude at the minimum
     fpp = float(example_a.fpp(example_a.minima[0].theta))
     assert abs(val - (t * fpp / math.pi) ** 0.25) / val <= 1e-2
 
 
-def test_integrate_rejects_wrong_grid(example_a):
+def test_integrate_rejects_wrong_grid(example_a, a_solves):
     cplx, _, _, _ = wc.circle_complex(example_a)
     with pytest.raises(CellOutsideGrid):
-        wc.integrate_cochain(example_a, 50.0, 0, np.ones(100), cplx)
+        wc.integrate_cochain(a_solves[50.0].w, 0, np.ones(100), cplx)
 
 
 def test_stokes_consistency(example_a, example_b):
@@ -51,7 +50,7 @@ def test_stokes_consistency(example_a, example_b):
         u = np.zeros(n)
         for m, (a, b) in enumerate(rng_free_coeffs):
             u += a * np.cos(m * th) + b * np.sin(m * th)
-        assert wc.stokes_defect(cf, t, u) <= 1e-8
+        assert wc.stokes_defect(cf, cl.assemble_witten(cf, t, n), u) <= 1e-8
 
 
 def test_normalizations_formulas(example_a, consts):
@@ -70,11 +69,11 @@ def test_normalizations_formulas(example_a, consts):
 
 def test_f_star_requires_self_indexing(example_b):
     with pytest.raises(NotSelfIndexed):
-        wc.f_star(example_b, 50.0)
+        wc.f_star(cl.circle_solve(example_b, 50.0))
 
 
-def test_f_star_diagonal_near_identity(example_a, consts):
-    rep = wc.f_star(example_a, 400.0, constants=consts)
+def test_f_star_diagonal_near_identity(a_solves, consts):
+    rep = wc.f_star(a_solves[400.0], constants=consts)
     for degree in (0, 1):
         mat = rep.f_matrices[degree]
         ids = rep.row_labels[degree]
@@ -86,15 +85,16 @@ def test_f_star_diagonal_near_identity(example_a, consts):
     assert rep.defect <= 1e-6
 
 
-def test_f_star_m_ratio_tends_to_one(example_a, consts):
-    r1 = wc.f_star(example_a, 100.0, constants=consts)
-    r2 = wc.f_star(example_a, 800.0, constants=consts)
+def test_f_star_m_ratio_tends_to_one(a_solves, consts):
+    r1 = wc.f_star(a_solves[100.0], constants=consts)
+    r2 = wc.f_star(a_solves[800.0], constants=consts)
     assert abs(r2.m_ratio["bd0"] - 1.0) < abs(r1.m_ratio["bd0"] - 1.0)
     assert abs(r2.m_ratio["bd0"] - 1.0) <= 0.05
 
 
-def test_matrix_element_check_example_a(example_a, consts):
-    rows = wc.matrix_element_check(example_a, [50.0, 800.0], constants=consts)
+def test_matrix_element_check_example_a(a_solves, consts):
+    rows = wc.matrix_element_check([a_solves[50.0], a_solves[800.0]],
+                                   constants=consts)
     by = {(r.t, r.pair): r for r in rows}
     for t in (50.0, 800.0):
         nd = by[(t, "max0<-min0")]
@@ -109,8 +109,8 @@ def test_matrix_element_check_example_a(example_a, consts):
             assert abs(r.raw) <= 1e-8
 
 
-def test_matrix_element_check_example_b(example_b, consts, b_sweep):
-    rows = wc.matrix_element_check(example_b, b_sweep, constants=consts,
+def test_matrix_element_check_example_b(example_b, b_solves, consts, b_sweep):
+    rows = wc.matrix_element_check(list(b_solves.values()), constants=consts,
                                    strict_floor=False)
     _, _, table, _ = wc.circle_complex(example_b)
     t_max = max(b_sweep)
