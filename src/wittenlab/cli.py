@@ -213,7 +213,7 @@ def cmd_circle(args) -> int:
                 ["degree", "t", "cluster", "label", "eigenvalue",
                  "eigenvalue_over_t23"], rows)
     elif args.sub == "fit":
-        fit = circle_lab.scaling_fit([clusters(t, True) for t in ts])
+        fit = circle_lab.scaling_fit([clusters(t, strict) for t in ts])
         rows = []
         e1 = consts["e"][0]
         for lab, data in fit["per_bd"].items():

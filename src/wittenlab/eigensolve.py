@@ -1,18 +1,17 @@
 """Deterministic symmetric eigensolver for (cyclic) tridiagonal matrices.
 
 Eigenvalue locations come from LAPACK; the package's own vector solves,
-seeded by them, check every residual.  Two routes, chosen by matrix shape:
+seeded by them, check every residual.  Acyclic matrices get their lowest
+eigenvalues from dstebz bisection.  Cyclic ones (periodic corner entries)
+are first reordered 0, n-1, 1, n-2, ..., which makes them pentadiagonal,
+and dsbevx gives their lowest eigenvalues (values only).
 
-* acyclic: dstebz bisection gives the lowest eigenvalues; inverse iteration
-  from a shift just below each one polishes value and vector;
-* cyclic (periodic corner entries): the order 0, n-1, 1, n-2, ... makes the
-  matrix pentadiagonal, and dsbevx gives its lowest eigenvalues (values
-  only); shift-invert Lanczos with full reorthogonalization and deflated
-  deterministic restarts gives the vectors, each shifted solve being the
-  acyclic one plus a Sherman-Morrison-Woodbury correction for the corners.
-
-Shifted acyclic solves are factored once per shift: dpttrf/dpttrs below the
-spectrum, dgttrf/dgttrs elsewhere.
+One route then gives the vectors for both shapes: inverse iteration from a
+shift just below each eigenvalue, orthogonalized against the vectors of
+all lower ones.  Its shifted solve is factored once per shift, dpttrf/dpttrs
+below the spectrum and dgttrf/dgttrs elsewhere; a cyclic solve is the
+acyclic one plus a Sherman-Morrison-Woodbury (SMW) correction for the
+corners.
 
 Inertia counts are certified, never clipped.  An acyclic count is the dstebz
 Sturm count, exact for a matrix within a few ulps of the input.  A cyclic
@@ -36,10 +35,8 @@ from scipy.linalg import lapack as _lapack
 
 from .errors import CornerPresent, DegenerateInput, NoConvergence, SingularShift
 
-# Fixed iteration budgets: exceeding them is an error, not silent degradation.
-LANCZOS_BUDGET = 200
+# A fixed iteration budget: exceeding it is an error, not silent degradation.
 INVIT_SWEEPS = 5
-CLUSTER_TOL = 1e-10       # times scale: eigenvalues closer than this form a cluster
 SCHUR_SEPARATION = 1e-9   # times scale: least distance of lam from the cut block's spectrum
 
 
@@ -286,8 +283,9 @@ def _stencil_vector(n: int, seq: int) -> np.ndarray:
     eigenvector symmetry classes; entries stay strictly positive, which the
     ground-state positivity guarantee relies on. seq advances restarts.
     """
-    z = np.arange(n, dtype=np.uint64)
-    z = z + np.uint64(seq) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(0x243F6A8885A308D3)
+    # the offset wraps mod 2**64 in Python integers: numpy scalars would overflow
+    offset = (seq * 0x9E3779B97F4A7C15 + 0x243F6A8885A308D3) % 2 ** 64
+    z = np.arange(n, dtype=np.uint64) + np.uint64(offset)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
@@ -345,15 +343,22 @@ def _check_k(t: SymTridiag, k: int):
         raise DegenerateInput(f"need 1 <= k <= n, got k={k}, n={t.n}")
 
 
-# -- inverse iteration (acyclic) ----------------------------------------------
+# -- inverse iteration ----------------------------------------------------------
 
-def _inverse_iteration(t: SymTridiag, sigma: float, ortho: list[np.ndarray],
+def _inverse_iteration(apply_inv, t: SymTridiag, v: np.ndarray,
+                       ortho: list[np.ndarray],
                        tol_abs: float) -> tuple[float, np.ndarray, float]:
-    fac = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma)
-    v = _stencil_vector(t.n, 0)
-    theta, res = np.nan, np.inf
+    """Inverse iteration from v with the shifted solve apply_inv, orthogonal to ortho.
+
+    ortho holds the vectors of all lower eigenvalues: projecting them out
+    separates equal eigenvalues, and near-equal ones, whose vectors inverse
+    iteration alone leaves eps * scale / gap apart from orthogonal.  One
+    sweep past the first residual below tol_abs polishes the vector from
+    about 1e-13 * scale to rounding level.
+    """
+    theta, res, met = np.nan, np.inf, False
     for sweep in range(INVIT_SWEEPS):
-        w = fac.solve(v)
+        w = apply_inv(v)
         for q in ortho:
             w -= np.dot(q, w) * q
         nw = np.linalg.norm(w)
@@ -365,148 +370,12 @@ def _inverse_iteration(t: SymTridiag, sigma: float, ortho: list[np.ndarray],
         theta = float(np.dot(v, tv))
         res = float(np.linalg.norm(tv - theta * v))
         if res <= tol_abs:
-            return theta, v, res
+            if met:
+                return theta, v, res
+            met = True
     raise NoConvergence(
         f"inverse iteration: residual {res:.3e} > {tol_abs:.3e} "
         f"after {INVIT_SWEEPS} sweeps")
-
-
-def _eigs_lowest_acyclic(t: SymTridiag, k: int, tol: float) -> list[EigenPair]:
-    scale = t.scale
-    lam = eigvals_lowest(t, k)
-    gaps = np.full(k, np.inf)
-    if k > 1:
-        gaps[:-1] = np.diff(lam)
-        gaps[1:] = np.minimum(gaps[1:], gaps[:-1])
-    # a shift a small fraction of the gap below the target gives fast
-    # convergence; below the spectrum the factorization is an M-matrix,
-    # which keeps the ground vector entrywise positive
-    below = np.clip(1e-3 * gaps, 1e-12 * scale, 1e-9 * scale)
-    cluster_tol = CLUSTER_TOL * scale
-    pairs: list[EigenPair] = []
-    group: list[np.ndarray] = []
-    for j in range(k):
-        if j > 0 and lam[j] - lam[j - 1] > cluster_tol:
-            group = []
-        sigma = float(lam[j] - below[j])
-        theta, v, res = _inverse_iteration(t, sigma, group, tol * scale)
-        group.append(v)
-        pairs.append(EigenPair(theta, v, res))
-    pairs.sort(key=lambda p: p.value)
-    return pairs
-
-
-# -- shift-invert Lanczos (cyclic) ----------------------------------------------
-
-def _lanczos_sweep(apply_inv, t: SymTridiag, locked: list[np.ndarray], seq: int,
-                   max_steps: int, res_tol: float):
-    """One shift-invert Lanczos run with full reorthogonalization.
-
-    Returns (values, vectors, steps_used) for Ritz pairs whose T-residual is
-    already below res_tol, in ascending eigenvalue order.
-    """
-    n = t.n
-    q = _stencil_vector(n, seq)
-    for v in locked:
-        q -= np.dot(v, q) * v
-    nq = np.linalg.norm(q)
-    if nq < 1e-10:
-        q = _stencil_vector(n, seq + 101)
-        for v in locked:
-            q -= np.dot(v, q) * v
-        nq = np.linalg.norm(q)
-    q /= nq
-    basis = np.empty((max_steps + 1, n))
-    basis[0] = q
-    alphas = np.empty(max_steps)
-    betas = np.empty(max_steps)
-    m_done = 0
-    for m in range(max_steps):
-        w = apply_inv(basis[m])
-        a = float(np.dot(basis[m], w))
-        alphas[m] = a
-        w = w - a * basis[m]
-        if m > 0:
-            w = w - betas[m - 1] * basis[m - 1]
-        for _ in range(2):
-            for v in locked:
-                w -= np.dot(v, w) * v
-            w -= basis[: m + 1].T @ (basis[: m + 1] @ w)
-        b = float(np.linalg.norm(w))
-        m_done = m + 1
-        if b < 1e-13:
-            break
-        betas[m] = b
-        basis[m + 1] = w / b
-    m = m_done
-    if m == 0:
-        return [], [], 1
-    if m == 1:
-        mus, s = np.array([alphas[0]]), np.ones((1, 1))
-    else:
-        mus, s = scipy.linalg.eigh_tridiagonal(alphas[:m], betas[: m - 1])
-    order = np.argsort(mus)[::-1]          # largest mu <-> smallest eigenvalue
-    vals, vecs = [], []
-    for idx in order:
-        y = basis[:m].T @ s[:, idx]
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            continue
-        y /= ny
-        ty = t.matvec(y)
-        theta = float(np.dot(y, ty))
-        res = float(np.linalg.norm(ty - theta * y))
-        if res <= res_tol:
-            vals.append(theta)
-            vecs.append(y)
-    return vals, vecs, m
-
-
-def _eigs_lowest_cyclic(t: SymTridiag, k: int, tol: float) -> list[EigenPair]:
-    scale = t.scale
-    lam_est = eigvals_lowest(t, k)
-    spread = max(float(lam_est[-1] - lam_est[0]), 1e-8 * scale)
-    sigma = float(lam_est[0]) - max(0.05 * spread, 1e-8 * scale)
-
-    locked: list[EigenPair] = []
-    budget = LANCZOS_BUDGET
-    seq = 0
-    while len(locked) < k:
-        if budget <= 0:
-            raise NoConvergence(
-                f"Lanczos budget {LANCZOS_BUDGET} exhausted with "
-                f"{len(locked)}/{k} eigenpairs converged")
-        apply_inv = _apply_shifted_inverse_cyclic(t, sigma, strict=False)
-        steps = min(budget, max(40, 4 * k))
-        locked_vecs = [p.vector for p in locked]
-        vals, vecs, used = _lanczos_sweep(apply_inv, t, locked_vecs, seq,
-                                          steps, tol * scale)
-        budget -= used
-        seq += 1
-        # lock in target order so multiplicities are filled before moving on
-        for theta, y in zip(vals, vecs):
-            j = len(locked)
-            if j >= k:
-                break
-            match_tol = max(1e-8 * scale, 1e-8 * abs(lam_est[j]))
-            if abs(theta - lam_est[j]) > match_tol:
-                continue
-            for p in locked:
-                y = y - np.dot(p.vector, y) * p.vector
-            ny = np.linalg.norm(y)
-            if ny < 1e-6:
-                continue
-            y = y / ny
-            ty = t.matvec(y)
-            theta = float(np.dot(y, ty))
-            res = float(np.linalg.norm(ty - theta * y))
-            if res <= tol * scale:
-                locked.append(EigenPair(theta, y, res))
-        if len(locked) < k:
-            j = len(locked)
-            sigma = float(lam_est[j]) - max(0.02 * spread, 1e-8 * scale)
-    locked.sort(key=lambda p: p.value)
-    return locked
 
 
 def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11) -> list[EigenPair]:
@@ -514,6 +383,26 @@ def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11) -> list[EigenPair]:
     _check_k(t, k)
     if tol <= 0:
         raise DegenerateInput("tol must be positive")
-    if t.corner is None:
-        return _eigs_lowest_acyclic(t, k, tol)
-    return _eigs_lowest_cyclic(t, k, tol)
+    scale = t.scale
+    lam = eigvals_lowest(t, k)
+    gaps = np.full(k, np.inf)
+    if k > 1:
+        gaps[:-1] = np.diff(lam)
+        gaps[1:] = np.minimum(gaps[1:], gaps[:-1])
+    # a shift a small fraction of the gap below the target gives fast
+    # convergence; below the spectrum the acyclic factorization is an
+    # M-matrix, which keeps the ground vector entrywise positive
+    below = np.clip(1e-3 * gaps, 1e-12 * scale, 1e-9 * scale)
+    start = _stencil_vector(t.n, 0)
+    pairs: list[EigenPair] = []
+    for j in range(k):
+        sigma = float(lam[j] - below[j])
+        if t.corner is None:
+            apply_inv = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma).solve
+        else:
+            apply_inv = _apply_shifted_inverse_cyclic(t, sigma, strict=False)
+        theta, v, res = _inverse_iteration(apply_inv, t, start,
+                                           [p.vector for p in pairs], tol * scale)
+        pairs.append(EigenPair(theta, v, res))
+    pairs.sort(key=lambda p: p.value)
+    return pairs

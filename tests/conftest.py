@@ -11,6 +11,12 @@ def consts():
 
 
 @pytest.fixture(scope="session")
+def consts_doubled():
+    """The constants oracle on twice the default grid, run once per session."""
+    return compute_constants(base_n=8192)
+
+
+@pytest.fixture(scope="session")
 def example_a():
     return circle_lab.example_function("A")
 

@@ -9,8 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from wittenlab import (circle_lab as cl, constants, eigensolve,
-                       local_model as lm, morse_complex as mc,
+from wittenlab import (circle_lab as cl, local_model as lm, morse_complex as mc,
                        oscillator1d as osc, whs_compare as wc)
 
 SQRT3 = math.sqrt(3.0)
@@ -41,12 +40,12 @@ def test_criterion_02_scaling_law():
             f"max rel deviation {dev:.2e}")
 
 
-def test_criterion_03_ground_state(consts):
+def test_criterion_03_ground_state(consts, consts_doubled):
     props = osc.ground_state_properties(osc.Anharmonic(1.0, 1.0, -1))
     pos = props["min_entry"] > 0.0 and props["gap_ratio"] > 0.0
     gap_cached = (consts["e"][1] - consts["e"][0]) / consts["e"][0]
-    doubled = constants.compute_constants(base_n=8192)
-    gap_doubled = (doubled["e"][1] - doubled["e"][0]) / doubled["e"][0]
+    e2 = consts_doubled["e"]
+    gap_doubled = (e2[1] - e2[0]) / e2[0]
     stable = abs(gap_cached - gap_doubled) / gap_cached <= 1e-8
     _report(3, "ground-state positivity and gap stability", pos and stable,
             f"min entry {props['min_entry']:.2e}, gap rel change "

@@ -1,10 +1,11 @@
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from wittenlab import cli, morse_complex as mc, whs_compare
+from wittenlab import circle_lab, cli, morse_complex as mc, whs_compare
 from wittenlab.circle_lab import example_function
 
 
@@ -80,6 +81,21 @@ def test_circle_elements_command(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "pair", "raw", "rescaled", "target", "abs_err",
                        "label"]
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_circle_fit_honours_lenient_floor(tmp_path, monkeypatch, lenient):
+    # stub the solves: only the floor flag handed to spectral_clusters matters
+    floors = []
+    monkeypatch.setattr(circle_lab, "circle_solve",
+                        lambda cf, t, n_grid=None, k_eigs=13: SimpleNamespace(n_grid=64))
+    monkeypatch.setattr(circle_lab, "spectral_clusters",
+                        lambda *a, strict_floor=True, **kw: floors.append(strict_floor))
+    monkeypatch.setattr(circle_lab, "scaling_fit", lambda reports: {"per_bd": {}})
+    argv = ["circle", "fit", "--example", "B", "--outdir", str(tmp_path), "--assert"]
+    assert run(argv + ["--lenient-floor"] * lenient) == 0
+    assert floors and set(floors) == {not lenient}
+    assert (tmp_path / "fit.csv").exists()
 
 
 def test_complex_file_roundtrip_commands(tmp_path):

@@ -20,10 +20,10 @@ def test_oracle_self_report(consts):
     assert consts["oracle"]["L"] == 8.0
 
 
-def test_gap_stable_under_doubling(consts):
-    c2 = constants.compute_constants(base_n=8192)
+def test_gap_stable_under_doubling(consts, consts_doubled):
     g1 = (consts["e"][1] - consts["e"][0]) / consts["e"][0]
-    g2 = (c2["e"][1] - c2["e"][0]) / c2["e"][0]
+    e2 = consts_doubled["e"]
+    g2 = (e2[1] - e2[0]) / e2[0]
     assert abs(g1 - g2) / g1 <= 1e-8
 
 

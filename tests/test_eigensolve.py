@@ -264,3 +264,38 @@ def test_non_finite_shift_rejected():
     for lam in (np.nan, np.inf):
         with pytest.raises(DegenerateInput):
             es.count_below(t, lam)
+
+
+def assert_cyclic_eigenpairs(t, k):
+    """Orthonormal vectors, small residuals and dense values from eigs_lowest."""
+    pairs = es.eigs_lowest(t, k)
+    vecs = np.array([p.vector for p in pairs])
+    assert np.max(np.abs(vecs @ vecs.T - np.eye(k))) <= 1e-12, t.n
+    for p in pairs:
+        assert np.linalg.norm(t.matvec(p.vector) - p.value * p.vector) <= 1e-11 * t.scale
+    ev = np.linalg.eigvalsh(t.to_dense())[:k]
+    assert np.max(np.abs([p.value for p in pairs] - ev)) <= 1e-10 * t.scale, t.n
+
+
+def test_cyclic_eigenvectors():
+    # periodic Laplacians: every eigenvalue but the lowest is exactly double
+    for n in range(3, 80):
+        t = tridiag(np.full(n, 2.0), np.full(n - 1, -1.0), -1.0)
+        assert_cyclic_eigenpairs(t, min(n, 5))
+    rng = np.random.default_rng(71)
+    for n in range(3, 120):
+        assert_cyclic_eigenpairs(random_tridiag(rng, n, cyclic=True), min(n, 1 + n % 7))
+
+
+def test_stencil_vector_offset_wraps_without_overflow():
+    n = 16
+    for seq in (0, 1, 2, 101):
+        offset = (seq * 0x9E3779B97F4A7C15 + 0x243F6A8885A308D3) % 2 ** 64
+        z = [(i + offset) % 2 ** 64 for i in range(n)]
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z = [((x ^ (x >> shift)) * mult) % 2 ** 64 for x in z]
+        u = np.array([float(x ^ (x >> 31)) for x in z]) / 2.0 ** 64
+        v = 1.0 + 0.9 * (u - 0.5)
+        with np.errstate(over="raise"):
+            got = es._stencil_vector(n, seq)
+        assert np.array_equal(got, v / np.linalg.norm(v)), seq
