@@ -340,6 +340,19 @@ def default_n_grid(cf: CircleFunction, t: float) -> int:
     return max(4096, 64 * math.ceil(need / 64.0))
 
 
+def _sum_of_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^2 + b^2 rounded once (faithfully), not three times.
+
+    Delta0 and Delta1 share their off-diagonal products but not their
+    diagonals; a diagonal rounded once keeps the stored pair closer to
+    D^T D and D D^T, whose nonzero spectra coincide.
+    """
+    p, e = eigensolve.two_product(a, a)
+    q, f = eigensolve.two_product(b, b)
+    s, g = eigensolve.two_sum(p, q)
+    return s + (g + e + f)
+
+
 def assemble_witten(cf: CircleFunction, t: float, n_grid: int) -> WittenMatrices:
     if n_grid < 64 or n_grid < 40.0 * math.sqrt(t):
         raise GridTooCoarse(
@@ -352,10 +365,10 @@ def assemble_witten(cf: CircleFunction, t: float, n_grid: int) -> WittenMatrices
     fn_next = np.roll(fn, -1)
     wplus = np.exp(t * (fn_next - fm)) / h
     wminus = np.exp(t * (fn - fm)) / h
-    d0_diag = wminus ** 2 + np.roll(wplus, 1) ** 2
+    d0_diag = _sum_of_squares(wminus, np.roll(wplus, 1))
     d0_off = -(wminus * wplus)[:-1]
     d0_corner = -wminus[-1] * wplus[-1]
-    d1_diag = wplus ** 2 + wminus ** 2
+    d1_diag = _sum_of_squares(wplus, wminus)
     d1_off = -(wplus[:-1] * wminus[1:])
     d1_corner = -wplus[-1] * wminus[0]
     return WittenMatrices(

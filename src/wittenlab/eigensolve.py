@@ -1,25 +1,31 @@
 """Deterministic symmetric eigensolver for (cyclic) tridiagonal matrices.
 
-Eigenvalue locations come from LAPACK; the package's own vector solves,
-seeded by them, check every residual.  Acyclic matrices get their lowest
-eigenvalues from dstebz bisection.  Cyclic ones (periodic corner entries)
-are first reordered 0, n-1, 1, n-2, ..., which makes them pentadiagonal,
-and dsbevx gives their lowest eigenvalues (values only).
+Acyclic matrices get their lowest eigenvalues from LAPACK dstebz bisection.
+A cyclic matrix (periodic corner entries) is cut at node n-1: dstebz gives
+the lowest eigenvalues mu_j of the acyclic block A that is left, Cauchy
+interlacing puts lambda_j in [mu_{j-1}, mu_j] (closed by -scale and scale),
+and inside that bracket lambda_j is the one sign change of the cut node's
+Schur scalar s(lam) = d - lam - b^T (A - lam)^{-1} b, one tridiagonal solve.
+Most values sit within DEFLATE_TOL * scale of a bracket end (Witten
+eigenvectors are localized); the others take a safeguarded rational
+iteration of at most LOCATE_EVALS evaluations.  k values cost O(nk).
 
 One route then gives the vectors for both shapes: inverse iteration from a
 shift just below each eigenvalue, orthogonalized against the vectors of
 all lower ones.  Its shifted solve is factored once per shift, dpttrf/dpttrs
 below the spectrum and dgttrf/dgttrs elsewhere; a cyclic solve is the
 acyclic one plus a Sherman-Morrison-Woodbury (SMW) correction for the
-corners.
+corners.  Each value is the Rayleigh quotient of its vector, written over
+the row sums and couplings of T so that it does not cancel, and a cyclic
+one must lie in its bracket.
 
 Inertia counts are certified, never clipped.  An acyclic count is the dstebz
 Sturm count, exact for a matrix within a few ulps of the input.  A cyclic
 count cuts the cycle at one index: by Haynsworth inertia additivity it is the
-Sturm count of the remaining acyclic block plus the sign of the scalar Schur
-complement, one tridiagonal solve.  The cut is moved while the block is
-within SCHUR_SEPARATION * scale of singular, which bounds the relative error
-of that complement by about eps / SCHUR_SEPARATION.
+Sturm count of the remaining acyclic block plus the sign of the same Schur
+scalar.  The cut is moved while the block is within SCHUR_SEPARATION * scale
+of singular, which bounds the relative error of that complement by about
+eps / SCHUR_SEPARATION.
 
 Everything is free of RNG: starting vectors are fixed index stencils, all
 reductions run in index order, so repeated calls are bit-identical.
@@ -30,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack as _lapack
 
 from .errors import CornerPresent, DegenerateInput, NoConvergence, SingularShift
@@ -38,6 +43,11 @@ from .errors import CornerPresent, DegenerateInput, NoConvergence, SingularShift
 # A fixed iteration budget: exceeding it is an error, not silent degradation.
 INVIT_SWEEPS = 5
 SCHUR_SEPARATION = 1e-9   # times scale: least distance of lam from the cut block's spectrum
+DEFLATE_TOL = 1e-13       # times scale: a cyclic value this close to a bracket end is that end
+ROOT_TOL = 1e-14          # times scale: bracket width at which the cyclic locator stops
+# Schur evaluations per cyclic value: 2 deflation tests, the midpoint and at
+# most 2 per halving of a bracket from 2 * scale down to ROOT_TOL * scale.
+LOCATE_EVALS = 100
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,24 @@ def _cuts(n: int) -> list[int]:
     return list(dict.fromkeys([n - 1, n // 2, n // 4, 3 * n // 4, 0]))
 
 
+def _schur_scalar(a_diag: np.ndarray, a_off: np.ndarray, b_first: float,
+                  b_last: float, d: float, lam: float) -> tuple[float, float]:
+    """s(lam) = d - lam - b^T (A - lam)^{-1} b and its slope -1 - |x|^2.
+
+    A = (a_diag, a_off) is the acyclic block left when one node is cut from
+    a cycle; the node has diagonal entry d and couples to A's first row with
+    b_first and to its last with b_last.  x = (A - lam)^{-1} b.
+    """
+    b = np.zeros(len(a_diag))
+    b[0] += b_first
+    b[-1] += b_last
+    if len(a_diag) == 1:
+        x = b / (a_diag[0] - lam)
+    else:
+        x = _ShiftedTridiagSolve(a_diag, a_off, lam).solve(b)
+    return float(d - lam - np.dot(b, x)), float(-1.0 - np.dot(x, x))
+
+
 def _count_below_cyclic(t: SymTridiag, lam: float) -> int:
     """Inertia of T - lam I by Haynsworth additivity over a cut of the cycle.
 
@@ -154,16 +182,18 @@ def _count_below_cyclic(t: SymTridiag, lam: float) -> int:
             a_diag, a_off = d[:k], e[:k - 1]
             if _sturm_window(a_diag, a_off, lam - sep, lam + sep):
                 continue
-            c = np.diag(d[k:] - lam) + np.diag(e[k:-1], 1) + np.diag(e[k:-1], -1)
-            b = np.zeros((k, m))
-            b[-1, 0] += e[k - 1]
-            b[0, -1] += e[-1]
-            if k == 1:
-                x = b / (a_diag[0] - lam)
+            if m == 1:
+                neg = int(_schur_scalar(a_diag, a_off, e[-1], e[k - 1], d[k], lam)[0] < 0.0)
             else:
-                x = _ShiftedTridiagSolve(a_diag, a_off, lam).solve(b)
-            schur = c - b.T @ x
-            neg = int(np.sum(np.linalg.eigvalsh(schur) < 0.0))
+                c = np.diag(d[k:] - lam) + np.diag(e[k:-1], 1) + np.diag(e[k:-1], -1)
+                b = np.zeros((k, m))
+                b[-1, 0] += e[k - 1]
+                b[0, -1] += e[-1]
+                if k == 1:
+                    x = b / (a_diag[0] - lam)
+                else:
+                    x = _ShiftedTridiagSolve(a_diag, a_off, lam).solve(b)
+                neg = int(np.sum(np.linalg.eigvalsh(c - b.T @ x) < 0.0))
             return _sturm_below(a_diag, a_off, lam) + neg
     raise SingularShift(
         f"every cut of the cycle leaves a block singular at {lam:.6e}")
@@ -274,6 +304,52 @@ def solve_shifted(t: SymTridiag, sigma: float, rhs: np.ndarray) -> np.ndarray:
     return x + apply(r)
 
 
+# -- error-free transformations -------------------------------------------------
+
+def two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e == a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def two_product(a, b):
+    """(p, e) with p = fl(a * b) and p + e == a * b exactly (Dekker).
+
+    Veltkamp's split multiplies by 2**27 + 1, so |a| and |b| must stay
+    below about 1e300.
+    """
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a):
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _edge_form(t: SymTridiag) -> tuple[np.ndarray, np.ndarray]:
+    """(ring, rho) with v^T T v = sum rho_i v_i^2 - sum ring_i (v_i - v_{i+1})^2.
+
+    ring[i] couples i and i+1 mod n (0 past the end of an acyclic matrix) and
+    rho holds the row sums, each rounded once.  The rows of a Laplacian-like
+    T cancel to far below its entries, so the quotient written this way keeps
+    an error of eps times those row sums, where its plain form v^T (T v)
+    keeps eps * |T| |v|: most of the digits of an eigenvalue far below scale.
+    """
+    ring = np.append(t.offdiag, 0.0 if t.corner is None else t.corner)
+    s, e = two_sum(t.diag, ring)
+    s, f = two_sum(s, np.roll(ring, 1))
+    return ring, s + (e + f)
+
+
+def _rayleigh_quotient(ring: np.ndarray, rho: np.ndarray, v: np.ndarray) -> float:
+    dv = v - np.roll(v, -1)
+    return float((np.dot(rho, v * v) - np.dot(ring, dv * dv)) / np.dot(v, v))
+
+
 # -- deterministic start vectors ----------------------------------------------
 
 def _stencil_vector(n: int, seq: int) -> np.ndarray:
@@ -296,46 +372,115 @@ def _stencil_vector(n: int, seq: int) -> np.ndarray:
 
 # -- eigenvalue locations -------------------------------------------------------
 
-def _interleaved_band(t: SymTridiag) -> np.ndarray:
-    """Upper band storage of the cyclic matrix in the order 0, n-1, 1, n-2, ...
+def _lowest_acyclic(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
+    """k smallest eigenvalues of the acyclic tridiagonal (diag, off), by dstebz."""
+    if len(diag) == 1:
+        return diag.copy()
+    m, w, _, _, info = _lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, k, 0.0, "E")
+    if info != 0 or m != k:
+        raise NoConvergence(f"dstebz returned {m}/{k} values, info={info}")
+    return w[:k].copy()
 
-    Cyclic neighbours end up at most two places apart, so the permuted
-    matrix is pentadiagonal: band[2 + r - c, c] holds entry (r, c), r <= c.
+
+def _root_in_bracket(schur, lo: float, hi: float, lo_pole: bool, hi_pole: bool,
+                     scale: float) -> float:
+    """The sign change of the decreasing Schur scalar s in its bracket [lo, hi].
+
+    An end that is a pole of s (an eigenvalue of the cut block) is the root
+    when s has not changed sign DEFLATE_TOL * scale inside it.  Otherwise the
+    midpoint's sign picks the pole nearer the root, and each step is the
+    root of the model c + p / (pole - lam) osculating s at the better of the
+    two points that set the bracket ends (Bunch, Nielsen and Sorensen 1978);
+    a bisection replaces it when it leaves the bracket or the last step did
+    not halve the bracket.  Steps shorter than ROOT_TOL * scale / 2 are
+    lengthened to that, so that they cross the root and close the bracket.
+    """
+    tau, tol = DEFLATE_TOL * scale, ROOT_TOL * scale
+    evals = 0
+
+    def at(x):
+        nonlocal evals
+        if evals == LOCATE_EVALS:
+            raise NoConvergence(f"cyclic locator: bracket [{lo:.6e}, {hi:.6e}] wider "
+                                f"than {tol:.3e} after {LOCATE_EVALS} Schur evaluations")
+        evals += 1
+        s, ds = schur(x)
+        if not np.isfinite(s):
+            raise NoConvergence(f"Schur scalar is not finite at {x:.6e}")
+        return s, ds
+
+    if hi - lo <= 2.0 * tau:
+        return 0.5 * (lo + hi)
+    pole_lo, pole_hi = lo, hi
+    if hi_pole:
+        if at(hi - tau)[0] > 0.0:
+            return hi
+        hi -= tau
+    if lo_pole:
+        if at(lo + tau)[0] < 0.0:
+            return lo
+        lo += tau
+    x, pole, bisect = 0.5 * (lo + hi), None, False
+    anchors = {}                        # the evaluations that set lo (True) and hi (False)
+    while hi - lo > tol:
+        s, ds = at(x)
+        if s == 0.0:
+            return x
+        width = hi - lo
+        lo, hi = (x, hi) if s > 0.0 else (lo, x)
+        anchors[s > 0.0] = (x, s, ds)
+        if pole is None:
+            pole = pole_hi if (s > 0.0 and hi_pole) or not lo_pole else pole_lo
+        y, step = 0.5 * (lo + hi), np.inf
+        for ax, a_s, a_ds in ([] if bisect else anchors.values()):
+            c = a_s - a_ds * (pole - ax)
+            cand = pole + a_ds * (pole - ax) ** 2 / c if c else np.nan
+            if abs(cand - ax) < 0.5 * tol:
+                cand = ax + np.copysign(0.5 * tol, a_s)
+            if lo < cand < hi and abs(cand - ax) < step:
+                y, step = cand, abs(cand - ax)
+        bisect = hi - lo > 0.5 * width
+        x = y
+    return 0.5 * (lo + hi)
+
+
+def _locate_cyclic(t: SymTridiag, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenvalues of a cyclic matrix and the k + 1 ends of their brackets.
+
+    Cutting node n-1 leaves A = (diag[:-1], offdiag[:-1]), coupled to the
+    node through the corner (first row) and offdiag[-1] (last row).
+    lambda_j lies in [ends[j], ends[j + 1]]: A's eigenvalues, closed by
+    -scale and scale, which bound the spectrum.
     """
     n = t.n
-    perm = np.empty(n, dtype=int)
-    perm[0::2] = np.arange((n + 1) // 2)
-    perm[1::2] = n - 1 - np.arange(n // 2)
-    pos = np.empty(n, dtype=int)
-    pos[perm] = np.arange(n)
-    band = np.zeros((3, n))
-    band[2, pos] = t.diag
-    left, right = pos, np.roll(pos, -1)        # edge i couples i and i+1 mod n
-    rows, cols = np.minimum(left, right), np.maximum(left, right)
-    np.add.at(band, (2 + rows - cols, cols), np.append(t.offdiag, t.corner))
-    return band
+    a_diag, a_off = t.diag[:-1], t.offdiag[:-1]
+    mu = _lowest_acyclic(a_diag, a_off, min(k, n - 1))
+    ends = np.concatenate([[-t.scale], mu, [t.scale]])[:k + 1]
+
+    def schur(lam):
+        return _schur_scalar(a_diag, a_off, t.corner, t.offdiag[-1], t.diag[-1], lam)
+
+    lam = np.array([_root_in_bracket(schur, ends[j], ends[j + 1], j > 0, j < n - 1, t.scale)
+                    for j in range(k)])
+    return lam, ends
+
+
+def _locate(t: SymTridiag, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """k smallest eigenvalues, ascending, and for a cyclic matrix their brackets."""
+    _check_k(t, k)
+    if t.corner is None:
+        return _lowest_acyclic(t.diag, t.offdiag, k), None
+    return _locate_cyclic(t, k)
 
 
 def eigvals_lowest(t: SymTridiag, k: int) -> np.ndarray:
-    """k smallest eigenvalues, ascending, from LAPACK alone (no vectors).
+    """k smallest eigenvalues, ascending, without vectors.
 
-    Acyclic matrices use dstebz bisection; cyclic ones dsbevx on the
-    interleaved pentadiagonal form, asked for values only, since its vectors
-    would need the dense n x n reduction matrix.
+    Acyclic matrices use dstebz bisection; cyclic ones dstebz on the block
+    left by cutting node n-1 and the sign of the cut node's Schur scalar
+    inside each interlacing bracket, O(nk) for both.
     """
-    _check_k(t, k)
-    if t.corner is None:
-        m, w, _, _, info = _lapack.dstebz(t.diag, t.offdiag, 2, 0.0, 0.0, 1, k,
-                                          0.0, "E")
-        if info != 0 or m != k:
-            raise NoConvergence(f"dstebz returned {m}/{k} values, info={info}")
-        return w[:k].copy()
-    try:
-        return scipy.linalg.eig_banded(_interleaved_band(t), eigvals_only=True,
-                                       select="i", select_range=(0, k - 1),
-                                       check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"dsbevx failed: {exc}") from exc
+    return _locate(t, k)[0]
 
 
 def _check_k(t: SymTridiag, k: int):
@@ -347,7 +492,7 @@ def _check_k(t: SymTridiag, k: int):
 
 def _inverse_iteration(apply_inv, t: SymTridiag, v: np.ndarray,
                        ortho: list[np.ndarray],
-                       tol_abs: float) -> tuple[float, np.ndarray, float]:
+                       tol_abs: float) -> tuple[np.ndarray, float]:
     """Inverse iteration from v with the shifted solve apply_inv, orthogonal to ortho.
 
     ortho holds the vectors of all lower eigenvalues: projecting them out
@@ -371,7 +516,7 @@ def _inverse_iteration(apply_inv, t: SymTridiag, v: np.ndarray,
         res = float(np.linalg.norm(tv - theta * v))
         if res <= tol_abs:
             if met:
-                return theta, v, res
+                return v, res
             met = True
     raise NoConvergence(
         f"inverse iteration: residual {res:.3e} > {tol_abs:.3e} "
@@ -379,12 +524,18 @@ def _inverse_iteration(apply_inv, t: SymTridiag, v: np.ndarray,
 
 
 def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11) -> list[EigenPair]:
-    """k smallest eigenpairs, ascending; deterministic, residual <= tol * scale."""
-    _check_k(t, k)
+    """k smallest eigenpairs, ascending; deterministic, residual <= tol * scale.
+
+    A cyclic pair j must have its Rayleigh quotient in the interlacing
+    bracket of lambda_j, widened by its residual and by the rounding of the
+    quotient and of the bracket ends (64 eps * scale); otherwise inverse
+    iteration found a neighbour and NoConvergence is raised.  Acyclic values
+    are dstebz bisection on exact Sturm counts and need no such check.
+    """
     if tol <= 0:
         raise DegenerateInput("tol must be positive")
     scale = t.scale
-    lam = eigvals_lowest(t, k)
+    lam, ends = _locate(t, k)
     gaps = np.full(k, np.inf)
     if k > 1:
         gaps[:-1] = np.diff(lam)
@@ -394,6 +545,7 @@ def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11) -> list[EigenPair]:
     # M-matrix, which keeps the ground vector entrywise positive
     below = np.clip(1e-3 * gaps, 1e-12 * scale, 1e-9 * scale)
     start = _stencil_vector(t.n, 0)
+    ring, rho = _edge_form(t)
     pairs: list[EigenPair] = []
     for j in range(k):
         sigma = float(lam[j] - below[j])
@@ -401,8 +553,15 @@ def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11) -> list[EigenPair]:
             apply_inv = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma).solve
         else:
             apply_inv = _apply_shifted_inverse_cyclic(t, sigma, strict=False)
-        theta, v, res = _inverse_iteration(apply_inv, t, start,
-                                           [p.vector for p in pairs], tol * scale)
+        v, res = _inverse_iteration(apply_inv, t, start, [p.vector for p in pairs],
+                                    tol * scale)
+        theta = _rayleigh_quotient(ring, rho, v)
+        if ends is not None:
+            slack = res + 64.0 * np.finfo(float).eps * scale
+            if not ends[j] - slack <= theta <= ends[j + 1] + slack:
+                raise NoConvergence(
+                    f"eigenpair {j}: Rayleigh quotient {theta:.6e} outside its "
+                    f"bracket [{ends[j]:.6e}, {ends[j + 1]:.6e}] widened by {slack:.3e}")
         pairs.append(EigenPair(theta, v, res))
     pairs.sort(key=lambda p: p.value)
     return pairs

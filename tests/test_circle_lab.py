@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ def test_assemble_zero_function_is_periodic_laplacian():
     assert abs(w.delta0.corner + 1 / h**2) <= 1e-6 / h**2
     pairs = eigensolve.eigs_lowest(w.delta0, 1)
     assert abs(pairs[0].value) <= 1e-10 * w.delta0.scale
+
+
+def test_witten_diagonals_rounded_once(example_b):
+    """Each diagonal entry is within one ulp of the exact sum of squares."""
+    w = cl.assemble_witten(example_b, 24.0, 256)
+    for diag, (a, b) in ((w.delta0.diag, (w.wminus, np.roll(w.wplus, 1))),
+                         (w.delta1.diag, (w.wplus, w.wminus))):
+        for d, x, y in zip(diag, a, b):
+            assert abs(Fraction(d) - Fraction(x) ** 2 - Fraction(y) ** 2) < np.spacing(d)
 
 
 def test_grid_too_coarse(example_a):

@@ -27,12 +27,13 @@ def test_parse_config():
     assert cfg["label"] == "demo"
 
 
-def test_constants_command(tmp_path):
+def test_constants_command(tmp_path, consts):
     out = tmp_path / "constants.json"
     assert run(["constants", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert len(data["e"]) == 8
     assert data["oracle"]["richardson_gap"] <= 1e-8
+    assert data == consts
 
 
 def test_osc1d_command(tmp_path):

@@ -27,12 +27,11 @@ def test_gap_stable_under_doubling(consts, consts_doubled):
     assert abs(g1 - g2) / g1 <= 1e-8
 
 
-def test_write_idempotent(tmp_path):
-    p1 = tmp_path / "c1.json"
-    p2 = tmp_path / "c2.json"
-    constants.write_constants(p1)
-    constants.write_constants(p2)
-    assert p1.read_bytes() == p2.read_bytes()
+def test_write_idempotent(tmp_path, consts):
+    # one fresh run, compared byte for byte with the session's own run
+    path = tmp_path / "c1.json"
+    constants.write_constants(path)
+    assert path.read_text() == json.dumps(consts, indent=2, sort_keys=True) + "\n"
 
 
 def test_env_override(tmp_path, monkeypatch, consts):

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from wittenlab import eigensolve as es
-from wittenlab.errors import CornerPresent, DegenerateInput, SingularShift
+from wittenlab import circle_lab, eigensolve as es
+from wittenlab.errors import CornerPresent, DegenerateInput, NoConvergence, SingularShift
 
 
 def tridiag(diag, off, corner=None):
@@ -299,3 +302,109 @@ def test_stencil_vector_offset_wraps_without_overflow():
         with np.errstate(over="raise"):
             got = es._stencil_vector(n, seq)
         assert np.array_equal(got, v / np.linalg.norm(v)), seq
+
+
+# -- the cyclic eigenvalue locator --------------------------------------------------
+
+def interleaved_band(t):
+    """Upper band storage of a cyclic matrix in the order 0, n-1, 1, n-2, ...
+
+    Cyclic neighbours end up at most two places apart, so the permuted
+    matrix is pentadiagonal: band[2 + r - c, c] holds entry (r, c), r <= c.
+    """
+    n = t.n
+    perm = np.empty(n, dtype=int)
+    perm[0::2] = np.arange((n + 1) // 2)
+    perm[1::2] = n - 1 - np.arange(n // 2)
+    pos = np.empty(n, dtype=int)
+    pos[perm] = np.arange(n)
+    band = np.zeros((3, n))
+    band[2, pos] = t.diag
+    left, right = pos, np.roll(pos, -1)        # edge i couples i and i+1 mod n
+    rows, cols = np.minimum(left, right), np.maximum(left, right)
+    np.add.at(band, (2 + rows - cols, cols), np.append(t.offdiag, t.corner))
+    return band
+
+
+def test_cyclic_eigvals_match_dense_random():
+    rng = np.random.default_rng(81)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        for n in range(3, 81):
+            t = random_tridiag(rng, n, cyclic=True)
+            ev = np.linalg.eigvalsh(t.to_dense())
+            for k in (1, n - 1, n):
+                got = es.eigvals_lowest(t, k)
+                assert np.all(np.diff(got) >= 0.0), (n, k)
+                assert np.max(np.abs(got - ev[:k])) <= 1e-12 * t.scale, (n, k)
+
+
+def test_cyclic_eigvals_periodic_laplacian_double_values():
+    # every eigenvalue but the lowest (and the top one for even n) is exactly
+    # double and equals an eigenvalue of the block left by the cut, so its
+    # brackets on both sides are empty
+    for n in range(3, 81):
+        t = tridiag(np.full(n, 2.0), np.full(n - 1, -1.0), -1.0)
+        exact = np.sort(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
+        got = es.eigvals_lowest(t, n)
+        assert np.max(np.abs(got - exact)) <= 1e-12 * t.scale, n
+
+
+@pytest.mark.parametrize("name", ["A", "B", "two_bd"])
+def test_cyclic_eigvals_match_banded_on_witten_matrices(name, example_a, example_b,
+                                                        example_two_bd):
+    cf = {"A": example_a, "B": example_b, "two_bd": example_two_bd}[name]
+    for n_grid in (1024, 2048):
+        for t in (50.0, 400.0):
+            w = circle_lab.assemble_witten(cf, t, n_grid)
+            for mat in (w.delta0, w.delta1):
+                ref = scipy.linalg.eig_banded(interleaved_band(mat), eigvals_only=True,
+                                              select="i", select_range=(0, 12))
+                got = es.eigvals_lowest(mat, 13)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * mat.scale, (n_grid, t)
+
+
+def test_cyclic_locator_budget_exceeded_raises(monkeypatch):
+    n = 24
+    theta = 2.0 * np.pi * np.arange(n) / n
+    # a smooth potential: delocalized vectors, so no value sits at a bracket end
+    t = tridiag(2.0 + 0.5 * np.cos(theta), np.full(n - 1, -1.0), -1.0)
+    assert np.max(np.abs(es.eigvals_lowest(t, n)
+                         - np.linalg.eigvalsh(t.to_dense()))) <= 1e-12 * t.scale
+    monkeypatch.setattr(es, "LOCATE_EVALS", 3)
+    with pytest.raises(NoConvergence, match="Schur evaluations"):
+        es.eigvals_lowest(t, n)
+
+
+def test_pairs_outside_their_brackets_raise(monkeypatch):
+    rng = np.random.default_rng(91)
+    t = random_tridiag(rng, 40, cyclic=True)
+    k = 5
+    lam, ends = es._locate_cyclic(t, k + 1)
+    assert len(es.eigs_lowest(t, k)) == k
+    # seeds one gap off: inverse iteration converges to lambda_{j+1}
+    monkeypatch.setattr(es, "_locate_cyclic", lambda t, k: (lam[1:k + 1], ends[:k + 1]))
+    with pytest.raises(NoConvergence, match="bracket"):
+        es.eigs_lowest(t, k)
+
+
+def test_error_free_transformations():
+    rng = np.random.default_rng(101)
+    a = rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, size=200)
+    b = rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, size=200)
+    for (hi, lo), exact in ((es.two_sum(a, b), lambda x, y: Fraction(x) + Fraction(y)),
+                            (es.two_product(a, b), lambda x, y: Fraction(x) * Fraction(y))):
+        for x, y, h, l in zip(a, b, hi, lo):
+            assert Fraction(h) + Fraction(l) == exact(x, y)
+
+
+def test_rayleigh_quotient_accurate_for_a_small_witten_value(example_b):
+    """A value 1e-8 of the scale, where the rows of T v cancel by eight digits."""
+    t = circle_lab.assemble_witten(example_b, 24.0, 4096).delta0
+    pair = es.eigs_lowest(t, 2)[1]
+    assert 1e-9 * t.scale < pair.value < 1e-7 * t.scale
+    v = [Fraction(x) for x in pair.vector]
+    num = (sum(Fraction(d) * x * x for d, x in zip(t.diag, v))
+           + 2 * sum(Fraction(e) * x * y for e, x, y in zip(t.offdiag, v, v[1:]))
+           + 2 * Fraction(t.corner) * v[0] * v[-1])
+    exact = num / sum(x * x for x in v)
+    assert abs(Fraction(pair.value) - exact) <= 1e-13 * exact
