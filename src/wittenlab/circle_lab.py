@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from . import eigensolve, oscillator1d
 from .constants import load_constants
@@ -174,6 +173,8 @@ def build_circle_function(simple_zeros, double_zeros) -> CircleFunction:
         if flo * fhi > 0:
             raise MeanZeroUnreachable(
                 f"mean {m0:.3e} does not change sign within +-{window:.3f}")
+        # imported here: at module level scipy.optimize adds ~0.25 s to every command's start-up
+        import scipy.optimize
         z0 = float(scipy.optimize.brentq(mean_of, lo, hi, xtol=1e-15))
     simple = [z0] + simple[1:]
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,8 +12,29 @@ from wittenlab import circle_lab, cli, morse_complex as mc, whs_compare
 from wittenlab.circle_lab import example_function
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
 def run(args):
     return cli.main(args)
+
+
+def test_cold_start_loads_no_optional_scipy():
+    """Start-up imports only what every command runs; a moved zero loads brentq itself."""
+    code = (
+        "import sys\n"
+        "import wittenlab.cli\n"
+        "from wittenlab import circle_lab, constants\n"
+        "constants.load_constants()\n"
+        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.special')"
+        " if m in sys.modules])\n"
+        "circle_lab.example_function('B')\n"
+        "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "True"]
 
 
 def test_parse_config():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def test_write_idempotent(tmp_path, consts):
     path = tmp_path / "c1.json"
     constants.write_constants(path)
     assert path.read_text() == json.dumps(consts, indent=2, sort_keys=True) + "\n"
+
+
+def test_committed_table_matches_oracle(consts):
+    committed = constants.load_constants(
+        Path(__file__).resolve().parents[1] / constants.DEFAULT_FILENAME)
+    np.testing.assert_allclose(committed["e"], consts["e"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(committed["xi1_0"], consts["xi1_0"], rtol=1e-12, atol=0)
+    assert committed["oracle"]["n"] == consts["oracle"]["n"]
+    assert committed["oracle"]["L"] == consts["oracle"]["L"]
 
 
 def test_env_override(tmp_path, monkeypatch, consts):
