@@ -59,13 +59,18 @@ class CircleFunction:
 
     cos_coeffs[m], sin_coeffs[m] are the coefficients of cos(m theta) and
     sin(m theta) in f'; index 0 is unused (mean-zero derivative).  f itself
-    is the exact antiderivative shifted by `offset`.
+    is the exact antiderivative shifted by `offset`.  critical_points are
+    kept in increasing angle.
     """
     cos_coeffs: tuple[float, ...]
     sin_coeffs: tuple[float, ...]
     offset: float
     critical_points: tuple[CriticalPoint, ...]
     self_indexed: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "critical_points",
+                           tuple(sorted(self.critical_points, key=lambda p: p.theta)))
 
     def _series(self, theta, c_fn, s_fn, power: int):
         theta = np.asarray(theta, dtype=float)
@@ -103,6 +108,21 @@ class CircleFunction:
     @property
     def bd_points(self):
         return [p for p in self.critical_points if p.kind == "bd"]
+
+    @property
+    def labels(self) -> dict[str, CriticalPoint]:
+        """min<i>, max<i> and bd<i>, each counted by angle, mapped to the point.
+
+        The one naming of the critical points that every layer shares: the
+        clusters, bases and cells of a birth-death point bd<i> carry its label
+        (cells bd<i>:0 and bd<i>:1).  Iterates in angle order.
+        """
+        out, counts = {}, {"min": 0, "max": 0, "bd": 0}
+        for p in self.critical_points:
+            key = "bd" if p.kind == "bd" else ("min" if p.index == 0 else "max")
+            out[f"{key}{counts[key]}"] = p
+            counts[key] += 1
+        return out
 
     def m_count(self, degree: int) -> int:
         return sum(1 for p in self.critical_points
@@ -204,7 +224,6 @@ def build_circle_function(simple_zeros, double_zeros) -> CircleFunction:
             raise DegenerateClassification(
                 f"|f''|={abs(fpp):.2e}, |f'''|={abs(fppp):.2e} at double zero {z:.4f}")
         crits.append(CriticalPoint(z, "bd", 0, float(proto.f(z)), a=fppp / 6.0))
-    crits.sort(key=lambda p: p.theta)
     cf = CircleFunction(cos_c, sin_c, 0.0, tuple(crits))
     _check_distinct_a(cf)
     return cf
@@ -307,9 +326,6 @@ class WittenMatrices:
 
     def apply_d(self, u: np.ndarray) -> np.ndarray:
         return self.wplus * np.roll(u, -1) - self.wminus * u
-
-    def apply_dt(self, v: np.ndarray) -> np.ndarray:
-        return np.roll(self.wplus * v, 1) - self.wminus * v
 
     def apply_d_log(self, u: LogVector) -> LogVector:
         """d(t) on a signed-log 0-form; exact at any deformation strength."""
@@ -433,6 +449,7 @@ class ClusterReport:
     epsilon: float
     small: np.ndarray             # eigenvalues (not rescaled)
     large: dict                   # bd label -> eigenvalue
+    index: dict                   # bd label -> position of its pair in the solve's pairs
     very_large_floor: float | None
     counts: dict
     extrapolated: bool
@@ -456,25 +473,19 @@ def choose_epsilon(cf: CircleFunction, constants: dict | None = None) -> float:
     return 0.9 * min(cands)
 
 
-def _bd_labels(cf: CircleFunction) -> list[tuple[str, float]]:
-    """(label, |a|) per birth-death point, labeled by angular order."""
-    out = []
-    for i, p in enumerate(sorted(cf.bd_points, key=lambda q: q.theta)):
-        out.append((f"bd{i}", abs(p.a)))
-    return out
-
-
 def spectral_clusters(solve: CircleSolve, doubled: CircleSolve | None = None,
                       constants: dict | None = None,
                       strict_floor: bool = True) -> dict[int, ClusterReport]:
     """Partition the low spectra of both degrees into the interval family.
 
-    Eigenvalue counts in each interval are verified exactly through inertia
-    counts on the solve's grid; reported values are Richardson-extrapolated
-    over (n, 2n) when the solve of the doubled grid is given.  strict_floor
-    additionally asserts that nothing sits between the top window and the
-    very-large floor, an asymptotic property that moderate deformation
-    strengths need not satisfy yet.
+    Eigenvalue counts in each interval are verified exactly through one
+    inertia count per window edge on the solve's grid; each large window must
+    also hold exactly one located eigenvalue, whose position in the solve's
+    pairs the report keeps in `index`.  Reported values are
+    Richardson-extrapolated over (n, 2n) when the solve of the doubled grid is
+    given.  strict_floor additionally asserts that nothing sits between the
+    top window and the very-large floor, an asymptotic property that moderate
+    deformation strengths need not satisfy yet.
     """
     cf, t, n_grid = solve.cf, solve.t, solve.n_grid
     if doubled is not None and (doubled.cf != cf or doubled.t != t
@@ -487,13 +498,17 @@ def spectral_clusters(solve: CircleSolve, doubled: CircleSolve | None = None,
     e1, e2 = consts["e"][0], consts["e"][1]
     eps = choose_epsilon(cf, consts)
     s = t ** (2.0 / 3.0)
-    bd = _bd_labels(cf)
-    floor = (e2 * min(m for _, m in bd) ** (2.0 / 3.0) - eps) if bd else None
+    # one window per birth-death point, in increasing |a| and so in increasing
+    # position: every window edge below the floor is then counted exactly once
+    mags = sorted((abs(p.a), lab) for lab, p in cf.labels.items() if p.kind == "bd")
+    windows = {lab: ((e1 * mag ** (2.0 / 3.0) - eps) * s,
+                     (e1 * mag ** (2.0 / 3.0) + eps) * s) for mag, lab in mags}
+    floor = (e2 * mags[0][0] ** (2.0 / 3.0) - eps) if mags else None
 
     out = {}
     for degree in (0, 1):
         m_k = cf.m_count(degree)
-        need = m_k + len(bd) + 1
+        need = m_k + len(windows) + 1
         if solve.k_eigs < need:
             raise DegenerateInput(f"k_eigs={solve.k_eigs} below required {need}")
         vals = solve.values(degree)
@@ -503,40 +518,41 @@ def spectral_clusters(solve: CircleSolve, doubled: CircleSolve | None = None,
             vals_rep = vals
 
         mat = solve.matrix(degree)
-        c_small = eigensolve.count_below(mat, eps * s)
-        if c_small != m_k:
+        below = eigensolve.count_below(mat, eps * s)
+        if below != m_k:
             raise ClusterOverlap(
-                f"degree {degree}: {c_small} eigenvalues in [0, eps t^(2/3)], "
+                f"degree {degree}: {below} eigenvalues in [0, eps t^(2/3)], "
                 f"expected {m_k} (t too small?)")
-        counts = {"small": c_small}
-        large = {}
-        prev_hi = eps * s
-        for label, mag in sorted(bd, key=lambda q: q[1]):
-            center = e1 * mag ** (2.0 / 3.0)
-            lo, hi = (center - eps) * s, (center + eps) * s
-            c_gap = eigensolve.count_below(mat, lo) - eigensolve.count_below(mat, prev_hi)
-            c_win = eigensolve.count_below(mat, hi) - eigensolve.count_below(mat, lo)
-            if c_gap != 0:
+        counts = {"small": below}
+        large, index = {}, {}
+        for label, (lo, hi) in windows.items():
+            c_lo = eigensolve.count_below(mat, lo)
+            if c_lo != below:
                 raise ClusterOverlap(
-                    f"degree {degree}: {c_gap} stray eigenvalues below the "
+                    f"degree {degree}: {c_lo - below} stray eigenvalues below the "
                     f"{label} window")
-            if c_win != 1:
+            below = eigensolve.count_below(mat, hi)
+            if below - c_lo != 1:
                 raise ClusterOverlap(
-                    f"degree {degree}: window {label} holds {c_win} eigenvalues, "
-                    f"expected 1")
-            idx = int(np.searchsorted(vals, lo))
-            large[label] = float(vals_rep[idx])
-            counts[label] = c_win
-            prev_hi = hi
+                    f"degree {degree}: window {label} holds {below - c_lo} "
+                    f"eigenvalues, expected 1")
+            hit = np.flatnonzero((lo <= vals) & (vals < hi))
+            if len(hit) != 1:
+                raise ClusterOverlap(
+                    f"degree {degree}: window {label} holds {len(hit)} located "
+                    f"eigenvalues, expected 1")
+            index[label] = int(hit[0])
+            large[label] = float(vals_rep[hit[0]])
+            counts[label] = below - c_lo
         if floor is not None:
             c_below_floor = eigensolve.count_below(mat, floor * s)
             counts["below_floor"] = c_below_floor
-            if strict_floor and c_below_floor != m_k + len(bd):
+            if strict_floor and c_below_floor != m_k + len(windows):
                 raise ClusterOverlap(
                     f"degree {degree}: {c_below_floor} eigenvalues below the "
-                    f"very-large floor, expected {m_k + len(bd)}")
+                    f"very-large floor, expected {m_k + len(windows)}")
         small = vals_rep[:m_k]
-        out[degree] = ClusterReport(degree, t, n_grid, eps, small, large,
+        out[degree] = ClusterReport(degree, t, n_grid, eps, small, large, index,
                                     floor, counts, doubled is not None)
     return out
 
@@ -551,7 +567,7 @@ def scaling_fit(reports: list[dict[int, ClusterReport]]) -> dict:
     if len(reports) < 4:
         raise DegenerateInput("need at least 4 deformation values, geometrically spaced")
     reports = sorted(reports, key=lambda r: r[0].t)
-    labels = sorted(reports[0][0].large, key=lambda lab: int(lab[2:]))
+    labels = list(reports[0][0].large)
     if not labels:
         raise DegenerateInput("scaling fit needs a birth-death point")
     t_list = [r[0].t for r in reports]
@@ -582,33 +598,22 @@ def cluster_bases(solve: CircleSolve, constants: dict | None = None,
                   strict_floor: bool = True) -> dict[int, ClusterBases]:
     """Eigenvector bases per cluster, orthogonal across clusters.
 
-    The cluster counts are certified on the solve's grid first.
+    The cluster counts are certified on the solve's grid first; each large
+    basis vector is the pair that `spectral_clusters` located in its window.
     """
-    consts = constants if constants is not None else load_constants()
-    reports = spectral_clusters(solve, constants=consts, strict_floor=strict_floor)
-    cf, t = solve.cf, solve.t
-    e1 = consts["e"][0]
-    eps = reports[0].epsilon
-    s = t ** (2.0 / 3.0)
+    reports = spectral_clusters(solve, constants=constants, strict_floor=strict_floor)
+    bd_labels = [lab for lab, p in solve.cf.labels.items() if p.kind == "bd"]
     out = {}
     for degree in (0, 1):
-        m_k = cf.m_count(degree)
+        m_k = solve.cf.m_count(degree)
         pairs = solve.pairs[degree]
         small_vecs = np.column_stack([p.vector for p in pairs[:m_k]]) \
             if m_k else np.zeros((solve.n_grid, 0))
         small_vals = np.array([p.value for p in pairs[:m_k]])
-        large_vecs, large_vals = {}, {}
-        for label, mag in _bd_labels(cf):
-            center = e1 * mag ** (2.0 / 3.0)
-            lo, hi = (center - eps) * s, (center + eps) * s
-            hit = [p for p in pairs if lo <= p.value < hi]
-            if len(hit) != 1:
-                raise ClusterOverlap(
-                    f"degree {degree}: window {label} holds {len(hit)} vectors")
-            large_vecs[label] = hit[0].vector
-            large_vals[label] = hit[0].value
+        large = {lab: pairs[reports[degree].index[lab]] for lab in bd_labels}
         out[degree] = ClusterBases(degree, solve, small_vecs, small_vals,
-                                   large_vecs, large_vals)
+                                   {lab: p.vector for lab, p in large.items()},
+                                   {lab: p.value for lab, p in large.items()})
     return out
 
 
@@ -674,21 +679,16 @@ def _projected_quasimodes(cb: ClusterBases, cluster: str):
     """Cluster vectors, labels, quasimodes and the quasimodes' cluster coordinates."""
     cf, w, degree = cb.solve.cf, cb.solve.w, cb.degree
     if cluster == "small":
-        points = [p for p in cf.critical_points
-                  if p.kind == "nd" and p.index == degree]
-        labels = [f"{'min' if degree == 0 else 'max'}{i}"
-                  for i in range(len(points))]
+        points = {lab: p for lab, p in cf.labels.items()
+                  if p.kind == "nd" and p.index == degree}
         v = cb.small_vectors
     else:
-        order = sorted(cf.bd_points, key=lambda q: q.theta)
-        idx = int(cluster[2:])
-        points = [order[idx]]
-        labels = [cluster]
+        points = {cluster: cf.labels[cluster]}
         v = cb.large_vectors[cluster][:, None]
     if v.shape[1] == 0 or not points:
         raise DegenerateInput(f"empty cluster {cluster} in degree {degree}")
-    q = np.column_stack([quasimode(cf, w, degree, p) for p in points])
-    return v, labels, q, v.T @ q
+    q = np.column_stack([quasimode(cf, w, degree, p) for p in points.values()])
+    return v, list(points), q, v.T @ q
 
 
 def localized_basis(cb: ClusterBases, cluster: str) -> dict[str, np.ndarray]:
@@ -762,17 +762,15 @@ def basis_logvectors(bases: dict[int, ClusterBases]):
                     out[degree][lab] = LogVector.from_values(vec)
                     meta[degree][lab] = {"kind": "small", "exact_kernel": False,
                                          "cluster_values": cb.small_values}
-        bd_order = sorted(cf.bd_points, key=lambda q: q.theta)
         for lab, vec in cb.large_vectors.items():
             if degree == 0:
                 # positive overlap with the (positive) cutoff model profile
-                point = bd_order[int(lab[2:])]
-                if float(np.dot(vec, quasimode(cf, w, 0, point))) < 0:
+                if float(np.dot(vec, quasimode(cf, w, 0, cf.labels[lab]))) < 0:
                     vec = -vec
             key = f"{lab}:{degree}"
             out[degree][key] = LogVector.from_values(vec)
-            meta[degree][key] = {"kind": "large", "value": cb.large_values[lab],
-                                 "exact_kernel": False}
+            meta[degree][key] = {"kind": "large", "label": lab,
+                                 "value": cb.large_values[lab], "exact_kernel": False}
     # orient the 1-form birth-death vectors along the d(t) image
     for lab in bases[0].large_vectors:
         du = d_image_log(w, out[0][f"{lab}:0"], False)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circle_lab, constants, local_model, morse_complex, oscillator1d, whs_compare
-from .errors import WittenLabError
+from .errors import DegenerateInput, WittenLabError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -60,11 +60,27 @@ def _parse_value(val: str):
         return val
 
 
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def load_function(args) -> circle_lab.CircleFunction:
     if getattr(args, "example", None):
         return circle_lab.example_function(args.example)
     if getattr(args, "config", None):
         cfg = parse_config(Path(args.config).read_text())
+        for key in ("simple_zeros", "double_zeros"):
+            val = cfg.get(key, [])
+            if not isinstance(val, list) or not all(map(_finite_number, val)):
+                raise DegenerateInput(
+                    f"{key} must be a list of finite numbers, got {val!r}")
+        if not isinstance(cfg.get("self_index", False), bool):
+            raise DegenerateInput(
+                f"self_index must be true or false, got {cfg['self_index']!r}")
+        scale = cfg.get("scale_range", 1.0)
+        if not (_finite_number(scale) and scale > 0):
+            raise DegenerateInput(
+                f"scale_range must be a positive finite number, got {scale!r}")
         cf = circle_lab.build_circle_function(cfg.get("simple_zeros", []),
                                               cfg.get("double_zeros", []))
         if cfg.get("self_index", False):
@@ -218,8 +234,7 @@ def cmd_circle(args) -> int:
         e1 = consts["e"][0]
         for lab, data in fit["per_bd"].items():
             rows.append([lab, data["exponent"], data["constant"]])
-            mag = dict(circle_lab._bd_labels(cf))[lab]
-            target = e1 * mag ** (2.0 / 3.0)
+            target = e1 * abs(cf.labels[lab].a) ** (2.0 / 3.0)
             rep.check(f"exponent {lab} in [0.66, 0.68]",
                       0.66 <= data["exponent"] <= 0.68,
                       f"{data['exponent']:.4f}")
@@ -239,13 +254,11 @@ def cmd_circle(args) -> int:
                 ["t", "pair", "raw", "rescaled", "target", "abs_err", "label"],
                 rows_out)
         t_max = max(ts)
-        bd_mags = {f"bd{i}": abs(p.a) for i, p in enumerate(
-            sorted(cf.bd_points, key=lambda q: q.theta))}
         for r in rows:
             if r.t == t_max and r.label == "bd":
                 # the leading correction scales like |a t|^{-1/3}; anchor the
                 # 5% window at |a t| = 154 and widen it below that
-                mag = bd_mags[r.pair.split(":")[0]]
+                mag = abs(cf.labels[r.pair.split(":")[0]].a)
                 width = 0.05 * max(1.0, (154.0 / (mag * r.t)) ** (1.0 / 3.0))
                 rep.check(f"bd ratio {r.pair}",
                           abs(r.rescaled - 1.0) <= width,

@@ -12,7 +12,8 @@ iteration of at most LOCATE_EVALS evaluations.  k values cost O(nk).
 
 One route then gives the vectors for both shapes: inverse iteration from a
 shift just below each eigenvalue, orthogonalized against the vectors of
-all lower ones.  Its shifted solve is factored once per shift, dpttrf/dpttrs
+all lower ones.  That iteration is the only user of the shifted solve
+(`_ShiftedTridiagSolve`), which is factored once per shift, dpttrf/dpttrs
 below the spectrum and dgttrf/dgttrs elsewhere; a cyclic solve is the
 acyclic one plus a Sherman-Morrison-Woodbury (SMW) correction for the
 corners.  Each value is the Rayleigh quotient of its vector, written over
@@ -224,27 +225,22 @@ class _ShiftedTridiagSolve:
     terms when the off-diagonals are non-positive, so a positive right-hand
     side gives a positive solution (the ground-state positivity guarantee).
     Other shifts use the partially pivoted LU of dgttrf.  An exactly zero
-    pivot, or one below min_pivot, raises SingularShift.
+    pivot raises SingularShift.
     """
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray, sigma: float,
-                 min_pivot: float = 0.0):
+    def __init__(self, diag: np.ndarray, off: np.ndarray, sigma: float):
         self.n = n = len(diag)
         shifted = diag - sigma
         d, e, info = _lapack.dpttrf(shifted, off)
         if info == 0:
-            self._pd, self._factors, pivots = True, (d, e), d
+            self._pd, self._factors = True, (d, e)
         else:
             if n == 2:      # scipy's dgttrf wrapper rejects n = 2: add a decoupled row
                 shifted, off = np.append(shifted, 1.0), np.append(off, 0.0)
             dl, du, du1, du2, ipiv, info = _lapack.dgttrf(off, shifted, off)
             if info > 0:
                 raise SingularShift(f"shift {sigma:.6e} is an exact eigenvalue")
-            self._pd, self._factors, pivots = False, (dl, du, du1, du2, ipiv), du[:n]
-        min_piv = float(np.min(np.abs(pivots)))
-        if min_piv < min_pivot:
-            raise SingularShift(
-                f"pivot {min_piv:.3e} below threshold {min_pivot:.3e}")
+            self._pd, self._factors = False, (dl, du, du1, du2, ipiv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._pd:
@@ -255,11 +251,7 @@ class _ShiftedTridiagSolve:
         return _lapack.dgttrs(*self._factors, rhs)[0][:self.n]
 
 
-def _strict_pivot(t: SymTridiag) -> float:
-    return t.scale * np.finfo(float).eps * 64.0
-
-
-def _apply_shifted_inverse_cyclic(t: SymTridiag, sigma: float, strict: bool = True):
+def _apply_shifted_inverse_cyclic(t: SymTridiag, sigma: float):
     """O(n) application of (T - sigma I)^{-1} for the cyclic matrix.
 
     Sherman-Morrison-Woodbury rank-2 correction of the acyclic solve, with
@@ -267,8 +259,7 @@ def _apply_shifted_inverse_cyclic(t: SymTridiag, sigma: float, strict: bool = Tr
     """
     n = t.n
     c = float(t.corner)
-    fac = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma,
-                               _strict_pivot(t) if strict else 0.0)
+    fac = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma)
     # T = T_0 + U C V^T with U = [e_0, e_{n-1}], V = [e_{n-1}, e_0], C = c I
     u = np.zeros((n, 2))
     u[0, 0] = 1.0
@@ -287,21 +278,6 @@ def _apply_shifted_inverse_cyclic(t: SymTridiag, sigma: float, strict: bool = Tr
         return x0 - au @ (cap_inv @ w)
 
     return apply
-
-
-def solve_shifted(t: SymTridiag, sigma: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (T - sigma I) x = rhs in O(n); raises SingularShift on breakdown."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (t.n,):
-        raise DegenerateInput("rhs length must match matrix dimension")
-    sigma = _check_shift(sigma)
-    if t.corner is None:
-        apply = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma, _strict_pivot(t)).solve
-    else:
-        apply = _apply_shifted_inverse_cyclic(t, sigma, strict=True)
-    x = apply(rhs)
-    r = rhs - (t.matvec(x) - sigma * x)
-    return x + apply(r)
 
 
 # -- error-free transformations -------------------------------------------------
@@ -552,7 +528,7 @@ def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11) -> list[EigenPair]:
         if t.corner is None:
             apply_inv = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma).solve
         else:
-            apply_inv = _apply_shifted_inverse_cyclic(t, sigma, strict=False)
+            apply_inv = _apply_shifted_inverse_cyclic(t, sigma)
         v, res = _inverse_iteration(apply_inv, t, start, [p.vector for p in pairs],
                                     tol * scale)
         theta = _rayleigh_quotient(ring, rho, v)

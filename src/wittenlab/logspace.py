@@ -127,10 +127,6 @@ class LogVector:
         s, l = logsumexp_signed(self.sign * other.sign, self.log + other.log)
         return LogValue(s, l)
 
-    def sum_signed(self) -> LogValue:
-        s, l = logsumexp_signed(self.sign, self.log)
-        return LogValue(s, l)
-
     def to_values(self) -> np.ndarray:
         out = np.zeros(len(self.log))
         ok = self.sign != 0.0

@@ -453,16 +453,18 @@ def circle_complex_from_function(cf) -> tuple[CochainComplex, FlowGraph]:
     """
     import numpy as np
 
-    crits = sorted(cf.critical_points, key=lambda p: p.theta)
-    if len(crits) < 2:
+    points = cf.labels
+    if len(points) < 2:
         raise NotMorseSmale("need at least two critical points on the circle")
     two_pi = 2.0 * np.pi
-    n = len(crits)
+    labs = list(points)
+    n = len(labs)
 
-    # arcs between consecutive critical points, with flow direction
+    # arcs between consecutive critical points (by label), with flow direction
     arcs = []
     for i in range(n):
-        a, b = crits[i], crits[(i + 1) % n]
+        la, lb = labs[i], labs[(i + 1) % n]
+        a, b = points[la], points[lb]
         lo = a.theta
         hi = b.theta if b.theta > a.theta else b.theta + two_pi
         mid = 0.5 * (lo + hi)
@@ -473,24 +475,16 @@ def circle_complex_from_function(cf) -> tuple[CochainComplex, FlowGraph]:
             raise NotMorseSmale(
                 f"adjacent critical values at {a.theta:.4f}, {b.theta:.4f} coincide")
         # slope < 0: f decreases with theta, so flow runs a -> b
-        src, dst = (a, b) if slope < 0 else (b, a)
-        if src.f_value <= dst.f_value:
+        src, dst = (la, lb) if slope < 0 else (lb, la)
+        if points[src].f_value <= points[dst].f_value:
             raise NotMorseSmale("flow direction contradicts critical values")
         arcs.append({"lo": lo, "hi": hi, "src": src, "dst": dst,
-                     "plus_end": b, "minus_end": a})
-
-    labels: dict[int, str] = {}
-    counts = {"min": 0, "max": 0, "bd": 0}
-    for p in crits:
-        key = p.kind if p.kind == "bd" else ("min" if p.index == 0 else "max")
-        labels[id(p)] = f"{key}{counts[key]}"
-        counts[key] += 1
+                     "plus_end": lb, "minus_end": la})
 
     cells0: list[Cell] = []
     cells1: list[Cell] = []
     geometry: dict[str, dict] = {}
-    for p in crits:
-        lab = labels[id(p)]
+    for lab, p in points.items():
         if p.kind == "nd" and p.index == 0:
             cells0.append(Cell(lab, 0, "nd", p.f_value))
             geometry[lab] = {"theta": p.theta}
@@ -502,39 +496,40 @@ def circle_complex_from_function(cf) -> tuple[CochainComplex, FlowGraph]:
 
     # each maximum owns its two adjacent (descending) arcs; each birth-death
     # point owns the single arc it sources
-    owned: dict[int, list[dict]] = {}
+    owned: dict[str, list[dict]] = {}
+    ends: dict[str, tuple[str, str]] = {}      # 1-cell id -> (minus end, plus end)
     for arc in arcs:
-        owned.setdefault(id(arc["src"]), []).append(arc)
-    for p in crits:
-        lab = labels[id(p)]
-        mine = owned.get(id(p), [])
+        owned.setdefault(arc["src"], []).append(arc)
+    for lab, p in points.items():
+        mine = owned.get(lab, [])
         if p.kind == "nd" and p.index == 1:
             if len(mine) != 2:
                 raise NotMorseSmale(f"maximum {lab} sources {len(mine)} arcs")
             cells1.append(Cell(lab, 1, "nd", p.f_value))
-            lo_arc = next(a for a in mine if a["plus_end"] is p)
-            hi_arc = next(a for a in mine if a["minus_end"] is p)
+            lo_arc = next(a for a in mine if a["plus_end"] == lab)
+            hi_arc = next(a for a in mine if a["minus_end"] == lab)
+            ends[lab] = (lo_arc["minus_end"], hi_arc["plus_end"])
             geometry[lab] = {"arcs": [(lo_arc["lo"], lo_arc["hi"]),
                                       (hi_arc["lo"], hi_arc["hi"])],
                              "orient": 1,
                              "theta": p.theta,
-                             "ends": (lo_arc["minus_end"], hi_arc["plus_end"])}
+                             "ends": tuple(points[e] for e in ends[lab])}
         elif p.kind == "bd":
             if len(mine) != 1:
                 raise NotMorseSmale(f"birth-death point {lab} sources {len(mine)} arcs")
             arc = mine[0]
+            ends[lab + ":1"] = (arc["minus_end"], arc["plus_end"])
             geometry[lab + ":1"].update({
                 "arcs": [(arc["lo"], arc["hi"])],
                 "orient": 1,
                 "theta": p.theta,
-                "ends": (arc["minus_end"], arc["plus_end"]),
+                "ends": tuple(points[e] for e in ends[lab + ":1"]),
             })
         elif p.kind == "nd" and p.index == 0 and mine:
             raise NotMorseSmale(f"minimum {lab} sources an arc")
 
-    def zero_cell_id(p) -> str:
-        lab = labels[id(p)]
-        return lab + ":0" if p.kind == "bd" else lab
+    def zero_cell_id(lab: str) -> str:
+        return lab + ":0" if points[lab].kind == "bd" else lab
 
     col = {c.id: j for j, c in enumerate(cells0)}
     row = {c.id: i for i, c in enumerate(cells1)}
@@ -543,33 +538,30 @@ def circle_complex_from_function(cf) -> tuple[CochainComplex, FlowGraph]:
 
     for c1 in cells1:
         geo = geometry[c1.id]
-        minus_end, plus_end = geo["ends"]
+        minus_end, plus_end = ends[c1.id]
         # oriented + theta: boundary = (plus end) - (minus end)
         contes = [(plus_end, 1), (minus_end, -1)]
         if c1.kind == "bd1":
             # the pair entry must be +1: flip orientation if the point sits
             # at the minus end
-            pair_sign = next(s for p, s in contes if zero_cell_id(p) == c1.partner)
+            pair_sign = next(s for lab, s in contes if zero_cell_id(lab) == c1.partner)
             if pair_sign == -1:
                 geo["orient"] = -1
-                contes = [(p, -s) for p, s in contes]
-        for p, s in contes:
-            delta0[row[c1.id]][col[zero_cell_id(p)]] += s
+                contes = [(lab, -s) for lab, s in contes]
+        for lab, s in contes:
+            delta0[row[c1.id]][col[zero_cell_id(lab)]] += s
 
     # trajectory signs: the contribution of each arc at its sink, under the
     # final orientation of the owning 1-cell
     vertices: dict[str, FlowVertex] = {}
-    for p in crits:
-        lab = labels[id(p)]
+    for lab, p in points.items():
         vertices[lab] = FlowVertex(lab, p.kind == "bd", p.f_value,
                                    index=p.index if p.kind == "nd" else 0)
     for arc in arcs:
-        src_lab = labels[id(arc["src"])]
-        dst_lab = labels[id(arc["dst"])]
-        sign = 1 if arc["dst"] is arc["plus_end"] else -1
-        if arc["src"].kind == "bd":
-            sign *= geometry[src_lab + ":1"]["orient"]
-        edges.append((src_lab, dst_lab, sign))
+        sign = 1 if arc["dst"] == arc["plus_end"] else -1
+        if points[arc["src"]].kind == "bd":
+            sign *= geometry[arc["src"] + ":1"]["orient"]
+        edges.append((arc["src"], arc["dst"], sign))
 
     cplx = CochainComplex({0: cells0, 1: cells1}, {0: delta0}, geometry=geometry)
     rep = validate(cplx)

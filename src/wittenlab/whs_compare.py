@@ -183,22 +183,16 @@ def normalizations(cf: CircleFunction, t: float,
              for k in (0, 1)}
     m_log = {}
     a_entries = {}
-    for i, p in enumerate(sorted(cf.bd_points, key=lambda q: q.theta)):
-        lab = f"bd{i}"
-        # n = 1, k = 0: the (2t/pi) power is 0
-        m_log[lab] = math.log(xi0) + (1.0 / 6.0) * math.log(abs(p.a) * t) \
-            + t * p.f_value
-        a_entries[lab] = 1.0 / (math.sqrt(e1) * (abs(p.a) * t) ** (1.0 / 3.0))
     curvature = {}
-    crits = sorted(cf.critical_points, key=lambda q: q.theta)
-    counters = {0: 0, 1: 0}
-    for p in crits:
-        if p.kind != "nd":
-            continue
-        lab = f"{'min' if p.index == 0 else 'max'}{counters[p.index]}"
-        counters[p.index] += 1
-        fpp = abs(float(cf.fpp(p.theta)))
-        curvature[lab] = (fpp / 2.0) ** (0.25 * (1 - 2 * p.index))
+    for lab, p in cf.labels.items():
+        if p.kind == "bd":
+            # n = 1, k = 0: the (2t/pi) power is 0
+            m_log[lab] = math.log(xi0) + (1.0 / 6.0) * math.log(abs(p.a) * t) \
+                + t * p.f_value
+            a_entries[lab] = 1.0 / (math.sqrt(e1) * (abs(p.a) * t) ** (1.0 / 3.0))
+        else:
+            fpp = abs(float(cf.fpp(p.theta)))
+            curvature[lab] = (fpp / 2.0) ** (0.25 * (1 - 2 * p.index))
     return NormalizationSet(t, small, m_log, a_entries, curvature)
 
 
@@ -260,8 +254,7 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
     d_image_norm = {}
     for lab, m in meta[0].items():
         if m["kind"] == "large":
-            bdlab = lab.split(":")[0]
-            d_image_norm[bdlab] = abs(raw_elems[(f"{bdlab}:1", lab)].to_float())
+            d_image_norm[m["label"]] = abs(raw_elems[(f"{m['label']}:1", lab)].to_float())
 
     m_measured: dict[str, LogValue] = {}
     m_ratio: dict[str, float] = {}
@@ -277,12 +270,11 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
         labs = list(vecs[degree])
         columns = []
         for lab in labs:
-            kind = meta[degree][lab]["kind"]
+            kind, bdlab = meta[degree][lab]["kind"], meta[degree][lab].get("label")
             if kind == "large" and degree == 1:
                 # exact intertwining: Int e^{tf} (M A)^{-1} E_y^1 equals
                 # delta applied to the normalized 0-side column (Stokes),
                 # which needs no tail resolution of the 1-form eigenvector
-                bdlab = lab.split(":")[0]
                 columns.append(delta_hat @ bd_cols0[bdlab])
                 continue
             ints = integrate_cochain(w, degree, vecs[degree][lab], cplx)
@@ -292,7 +284,6 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
                     - math.log(norms.curvature[lab])
                 col = {cid: v.scaled(pref) for cid, v in coords.items()}
             else:
-                bdlab = lab.split(":")[0]
                 m_val = coords[bdlab + ":0"]
                 m_measured[bdlab] = m_val
                 m_ratio[bdlab] = m_val.sign * math.exp(
@@ -302,7 +293,7 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
                        for cid, v in coords.items()}
             colv = np.array([col[cid].to_float() for cid in ids])
             if kind == "large":
-                bd_cols0[lab.split(":")[0]] = colv
+                bd_cols0[bdlab] = colv
             columns.append(colv)
         f_mat = np.column_stack(columns) if columns else np.zeros((len(ids), 0))
         f_matrices[degree] = f_mat
@@ -319,11 +310,10 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
             if meta[0][l0]["kind"] == "small":
                 val = val.scaled(d_small_log)
             else:
-                bdlab0 = l0.split(":")[0]
-                m0 = m_measured[bdlab0]
+                m0 = m_measured[meta[0][l0]["label"]]
                 val = LogValue(val.sign * m0.sign, val.log - m0.log)
             if meta[1][l1]["kind"] == "large":
-                bdlab1 = l1.split(":")[0]
+                bdlab1 = meta[1][l1]["label"]
                 m1 = m_measured[bdlab1]
                 val = LogValue(val.sign * m1.sign,
                                val.log + m1.log - math.log(d_image_norm[bdlab1]))
@@ -381,11 +371,7 @@ def matrix_element_check(solves: list[CircleSolve], constants: dict | None = Non
     consts = constants if constants is not None else load_constants()
     e1 = consts["e"][0]
     cplx, graph, inc_table, hats = circle_complex(cf)
-    mins = [p for p in cf.critical_points if p.kind == "nd" and p.index == 0]
-    maxs = [p for p in cf.critical_points if p.kind == "nd" and p.index == 1]
-    bds = sorted(cf.bd_points, key=lambda q: q.theta)
-    min_pts = {f"min{i}": p for i, p in enumerate(mins)}
-    max_pts = {f"max{i}": p for i, p in enumerate(maxs)}
+    points = cf.labels
     ext = "" if cf.self_indexed else "-extension"
     rows = []
     for solve in sorted(solves, key=lambda s: s.t):
@@ -394,8 +380,9 @@ def matrix_element_check(solves: list[CircleSolve], constants: dict | None = Non
             circle_lab.cluster_bases(solve, constants=consts, strict_floor=strict_floor))
         for (l1, l0), lv in sorted(me.raw.items()):
             raw = lv.to_float()
-            if l0 in min_pts and l1 in max_pts:
-                pm, pM = min_pts[l0], max_pts[l1]
+            m0, m1 = me.meta0[l0], me.meta1[l1]
+            if m0["kind"] == m1["kind"] == "small":
+                pm, pM = points[l0], points[l1]
                 curv = (abs(float(cf.fpp(pm.theta)))
                         * abs(float(cf.fpp(pM.theta)))) ** 0.25
                 dfv = pM.f_value - pm.f_value
@@ -404,16 +391,14 @@ def matrix_element_check(solves: list[CircleSolve], constants: dict | None = Non
                 target = float(inc_table.get((l1, l0), 0))
                 rows.append(PairingRow(t, f"{l1}<-{l0}", raw, rescaled, target,
                                        abs(rescaled - target), "nd" + ext))
-            elif l0.endswith(":0") and l1.endswith(":1") \
-                    and l0.split(":")[0] == l1.split(":")[0]:
-                bd = bds[int(l0.split(":")[0][2:])]
+            elif m0["kind"] == "large" and m0["label"] == m1.get("label"):
+                bd = points[m0["label"]]
                 denom = math.sqrt(e1) * (abs(bd.a) * t) ** (1.0 / 3.0)
                 rescaled = raw / denom
                 rows.append(PairingRow(t, f"{l1}<-{l0}", raw, rescaled, 1.0,
                                        abs(rescaled - 1.0), "bd"))
             else:
-                kind = "cross-bd" if (l0.startswith("bd") and l1.startswith("bd")) \
-                    else "cross"
+                kind = "cross-bd" if m0["kind"] == m1["kind"] == "large" else "cross"
                 rows.append(PairingRow(t, f"{l1}<-{l0}", raw, raw, 0.0,
                                        abs(raw), kind))
     return rows

@@ -64,6 +64,12 @@ def a_solves_doubled(example_a, a_solves):
 
 
 @pytest.fixture(scope="session")
+def two_bd_solve(example_two_bd):
+    """The two birth-death fixture at t = 200 on its default grid."""
+    return circle_lab.circle_solve(example_two_bd, 200.0)
+
+
+@pytest.fixture(scope="session")
 def b_solves(example_b, b_sweep):
     """Example B on the default grid of each t in its sweep."""
     return {t: circle_lab.circle_solve(example_b, t) for t in b_sweep}

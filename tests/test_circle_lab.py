@@ -268,9 +268,8 @@ def test_gram_converges_to_identity(example_b, b_solve_300, consts):
     assert defects[1] < defects[0]
 
 
-def test_matrix_elements_cross_bd(example_two_bd, consts):
-    bases = cl.cluster_bases(cl.circle_solve(example_two_bd, 200.0),
-                             constants=consts, strict_floor=False)
+def test_matrix_elements_cross_bd(two_bd_solve, consts):
+    bases = cl.cluster_bases(two_bd_solve, constants=consts, strict_floor=False)
     me = cl.matrix_elements(bases)
     for (l1, l0), lv in me.raw.items():
         b1, b0 = l1.split(":")[0], l0.split(":")[0]
@@ -324,3 +323,45 @@ def test_one_assembly_per_grid_and_one_eigensolve_per_degree(example_a, consts,
     wc.f_star(cl.circle_solve(example_a, 100.0, n), constants=consts)
     assert assembled == [(100.0, n)]
     assert len(solved) == len(set(solved)) == 2
+
+
+def test_spectral_clusters_counts_each_window_edge_once(a_solves, consts, monkeypatch):
+    counted = []
+    real_count = eigensolve.count_below
+
+    def count_below(t, lam):
+        counted.append(lam)
+        return real_count(t, lam)
+
+    monkeypatch.setattr(eigensolve, "count_below", count_below)
+    cl.spectral_clusters(a_solves[200.0], constants=consts)
+    # per degree: eps t^(2/3), the two edges of the bd0 window, the floor
+    assert len(counted) == 8
+    assert counted[:4] == sorted(counted[:4]) and counted[4:] == counted[:4]
+
+
+def test_cluster_index_names_the_pair_in_its_window(example_two_bd, two_bd_solve, consts):
+    reports = cl.spectral_clusters(two_bd_solve, constants=consts, strict_floor=False)
+    bases = cl.cluster_bases(two_bd_solve, constants=consts, strict_floor=False)
+    bd = {lab: p for lab, p in example_two_bd.labels.items() if p.kind == "bd"}
+    assert list(bd) == ["bd0", "bd1"]
+    s = two_bd_solve.t ** (2.0 / 3.0)
+    for degree in (0, 1):
+        r = reports[degree]
+        assert sorted(r.index) == ["bd0", "bd1"]
+        for lab, p in bd.items():
+            center = consts["e"][0] * abs(p.a) ** (2.0 / 3.0)
+            pair = two_bd_solve.pairs[degree][r.index[lab]]
+            assert (center - r.epsilon) * s <= pair.value < (center + r.epsilon) * s
+            assert r.large[lab] == pair.value
+            assert bases[degree].large_values[lab] == pair.value
+            assert bases[degree].large_vectors[lab] is pair.vector
+
+
+def test_labels_count_each_kind_by_angle(example_a, example_b):
+    assert list(example_a.labels) == ["max0", "bd0", "min0"]
+    assert list(example_b.labels) == ["max0", "min0", "max1", "min1", "bd0"]
+    for cf in (example_a, example_b):
+        thetas = [p.theta for p in cf.labels.values()]
+        assert thetas == sorted(thetas)
+        assert tuple(cf.labels.values()) == cf.critical_points

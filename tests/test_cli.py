@@ -51,6 +51,32 @@ def test_parse_config():
     assert cfg["label"] == "demo"
 
 
+_A_ZEROS = "simple_zeros = [1.0471975511965976, -1.0471975511965976]\n" \
+    "double_zeros = [3.141592653589793]\n"
+
+
+@pytest.mark.parametrize("key, text", [
+    ("simple_zeros", "simple_zeros = 1.0\n"),
+    ("simple_zeros", "simple_zeros = [0.5, x]\n"),
+    ("simple_zeros", "simple_zeros = [0.5, inf]\n"),
+    ("double_zeros", "simple_zeros = [1.0, 2.0]\ndouble_zeros = [true]\n"),
+    ("self_index", _A_ZEROS + "self_index = yes\n"),
+    ("self_index", _A_ZEROS + "self_index = 1\n"),
+    ("scale_range", _A_ZEROS + "scale_range = -0.3\n"),
+    ("scale_range", _A_ZEROS + "scale_range = nan\n"),
+    ("scale_range", _A_ZEROS + "scale_range = [0.3]\n"),
+], ids=["zeros-scalar", "zeros-word", "zeros-inf", "zeros-bool", "index-word",
+        "index-int", "range-negative", "range-nan", "range-list"])
+def test_bad_config_is_an_input_error(tmp_path, capsys, key, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    code = run(["circle", "clusters", "--config", str(path), "--t", "50",
+                "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("error:") and key in err
+
+
 def test_constants_command(tmp_path, consts):
     out = tmp_path / "constants.json"
     assert run(["constants", "--out", str(out)]) == 0

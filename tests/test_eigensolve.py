@@ -139,14 +139,18 @@ def test_degenerate_input():
 
 def test_solve_shifted_identity():
     t = tridiag([1.0, 1.0, 1.0], [0.0, 0.0])
-    x = es.solve_shifted(t, 0.0, np.array([1.0, 2.0, 3.0]))
+    x = es._ShiftedTridiagSolve(t.diag, t.offdiag, 0.0).solve(np.array([1.0, 2.0, 3.0]))
     assert np.allclose(x, [1.0, 2.0, 3.0], atol=1e-14)
 
 
 def test_solve_shifted_diag2():
     t = tridiag([2.0, 2.0], [0.0])
-    x = es.solve_shifted(t, 1.0, np.array([1.0, 1.0]))
+    x = es._ShiftedTridiagSolve(t.diag, t.offdiag, 1.0).solve(np.array([1.0, 1.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
+    # above the spectrum: the dgttrf route, on its padded n = 2 case
+    t = tridiag([2.0, 2.0], [0.5])
+    x = es._ShiftedTridiagSolve(t.diag, t.offdiag, 3.0).solve(np.array([1.0, 1.0]))
+    assert np.allclose(t.matvec(x) - 3.0 * x, [1.0, 1.0], atol=1e-14)
 
 
 def test_solve_shifted_cyclic_residual():
@@ -154,14 +158,14 @@ def test_solve_shifted_cyclic_residual():
     t = tridiag(np.full(n, 2.0), np.full(n - 1, -1.0), -1.0)
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    x = es.solve_shifted(t, -1.0, rhs)
+    x = es._apply_shifted_inverse_cyclic(t, -1.0)(rhs)
     assert np.linalg.norm(t.matvec(x) + x - rhs) <= 1e-12
 
 
 def test_solve_shifted_singular_raises():
     t = tridiag([1.0, 1.0, 1.0], [0.0, 0.0])
     with pytest.raises(SingularShift):
-        es.solve_shifted(t, 1.0, np.array([1.0, 1.0, 1.0]))
+        es._ShiftedTridiagSolve(t.diag, t.offdiag, 1.0)
 
 
 # -- differential tests against dense eigvalsh ----------------------------------

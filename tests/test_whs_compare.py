@@ -138,3 +138,22 @@ def test_hat_coordinates_roundtrip(example_b):
     for cid, lv in coords.items():
         expect = 1.0 if cid == "min0" else 0.0
         assert abs(lv.to_float() - expect) <= 1e-12
+
+
+@pytest.mark.parametrize("name, t", [("example_b", 81.0), ("example_two_bd", 200.0)])
+def test_reversed_critical_points_name_the_same_points(request, consts, name, t):
+    cf = request.getfixturevalue(name)
+    rev = cl.CircleFunction(cf.cos_coeffs, cf.sin_coeffs, cf.offset,
+                            cf.critical_points[::-1], cf.self_indexed)
+    assert rev.labels == cf.labels
+
+    def cell_ids(f):
+        cplx = wc.circle_complex(f)[0]
+        return {k: [c.id for c in cells] for k, cells in cplx.cells.items()}
+
+    assert cell_ids(rev) == cell_ids(cf)
+    rows = [wc.matrix_element_check([cl.circle_solve(f, t)], constants=consts,
+                                    strict_floor=False) for f in (cf, rev)]
+    assert rows[0] == rows[1]
+    assert {r.pair for r in rows[0] if r.label == "bd"} == \
+        {f"{lab}:1<-{lab}:0" for lab, p in cf.labels.items() if p.kind == "bd"}
