@@ -19,9 +19,11 @@ only code that assembles or eigensolves a Witten matrix.  Callers (the CLI,
 the tests) build the solves and pass them down: `spectral_clusters` certifies
 the counts on a solve's grid and, given a second solve of the same function
 and t on twice the grid, reports Richardson-extrapolated values (4 E_2n -
-E_n) / 3; `cluster_bases` reads the eigenvectors off the solve, and the
-localized bases, pairings and eq. (7) defects are read off those bases.
-Nothing is cached between calls.
+E_n) / 3; `low_complex` reads the small+large subcomplex Omega_0(M, t) off
+the solve as one `LowComplex` (its eigenforms of both degrees and the
+pairings of d(t) on them), and the eq. (7) defects are read off that.  The
+constants come from the one committed table (`load_constants`).  Nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .eigensolve import SymTridiag
 from .errors import (AssumptionViolated, ClusterOverlap, DegenerateClassification,
                      DegenerateInput, GridTooCoarse, MeanZeroUnreachable,
                      NotAffinelySelfIndexable, ProjectionDegenerate)
-from .logspace import LogValue, LogVector
+from .logspace import LogVector
 
 TWO_PI = 2.0 * math.pi
 
@@ -455,10 +457,9 @@ class ClusterReport:
     extrapolated: bool
 
 
-def choose_epsilon(cf: CircleFunction, constants: dict | None = None) -> float:
+def choose_epsilon(cf: CircleFunction) -> float:
     """0.9 times the disjointness bound for the cluster interval family."""
-    consts = constants if constants is not None else load_constants()
-    e1, e2 = consts["e"][0], consts["e"][1]
+    e1, e2 = load_constants()["e"][:2]
     mags = sorted(abs(p.a) for p in cf.bd_points)
     if not mags:
         return 1.0           # Morse case: any fixed window works
@@ -474,7 +475,6 @@ def choose_epsilon(cf: CircleFunction, constants: dict | None = None) -> float:
 
 
 def spectral_clusters(solve: CircleSolve, doubled: CircleSolve | None = None,
-                      constants: dict | None = None,
                       strict_floor: bool = True) -> dict[int, ClusterReport]:
     """Partition the low spectra of both degrees into the interval family.
 
@@ -494,9 +494,8 @@ def spectral_clusters(solve: CircleSolve, doubled: CircleSolve | None = None,
         raise DegenerateInput(
             "the Richardson partner must solve the same function, t and k_eigs "
             "on twice the grid")
-    consts = constants if constants is not None else load_constants()
-    e1, e2 = consts["e"][0], consts["e"][1]
-    eps = choose_epsilon(cf, consts)
+    e1, e2 = load_constants()["e"][:2]
+    eps = choose_epsilon(cf)
     s = t ** (2.0 / 3.0)
     # one window per birth-death point, in increasing |a| and so in increasing
     # position: every window edge below the floor is then counted exactly once
@@ -581,42 +580,6 @@ def scaling_fit(reports: list[dict[int, ClusterReport]]) -> dict:
     return out
 
 
-# -- bases ----------------------------------------------------------------------
-
-@dataclass
-class ClusterBases:
-    """Orthonormal eigenvector bases of the small and large clusters, one degree."""
-    degree: int
-    solve: CircleSolve
-    small_vectors: np.ndarray          # columns
-    small_values: np.ndarray
-    large_vectors: dict                # bd label -> vector
-    large_values: dict                 # bd label -> eigenvalue (same grid)
-
-
-def cluster_bases(solve: CircleSolve, constants: dict | None = None,
-                  strict_floor: bool = True) -> dict[int, ClusterBases]:
-    """Eigenvector bases per cluster, orthogonal across clusters.
-
-    The cluster counts are certified on the solve's grid first; each large
-    basis vector is the pair that `spectral_clusters` located in its window.
-    """
-    reports = spectral_clusters(solve, constants=constants, strict_floor=strict_floor)
-    bd_labels = [lab for lab, p in solve.cf.labels.items() if p.kind == "bd"]
-    out = {}
-    for degree in (0, 1):
-        m_k = solve.cf.m_count(degree)
-        pairs = solve.pairs[degree]
-        small_vecs = np.column_stack([p.vector for p in pairs[:m_k]]) \
-            if m_k else np.zeros((solve.n_grid, 0))
-        small_vals = np.array([p.value for p in pairs[:m_k]])
-        large = {lab: pairs[reports[degree].index[lab]] for lab in bd_labels}
-        out[degree] = ClusterBases(degree, solve, small_vecs, small_vals,
-                                   {lab: p.vector for lab, p in large.items()},
-                                   {lab: p.value for lab, p in large.items()})
-    return out
-
-
 # -- localized bases -------------------------------------------------------------
 
 def _arc_distance(theta: np.ndarray, center: float) -> np.ndarray:
@@ -659,11 +622,14 @@ def quasimode(cf: CircleFunction, w: WittenMatrices, degree: int,
     radius = _chart_radius(cf, point)
     bump = _bump(s, radius)
     if point.kind == "nd":
+        # only inside the chart, where f rises away from a minimum and falls
+        # away from a maximum: beyond it f may pass f(c) and e^{...} overflow
         f_here = cf.f(theta)
-        if degree == 0:
-            prof = np.exp(-np.minimum(w.t * (f_here - point.f_value), 700.0))
-        else:
-            prof = np.exp(-np.minimum(w.t * (point.f_value - f_here), 700.0))
+        rise = w.t * (f_here - point.f_value) if degree == 0 \
+            else w.t * (point.f_value - f_here)
+        inside = bump > 0.0
+        prof = np.zeros_like(bump)
+        prof[inside] = np.exp(-np.minimum(rise[inside], 700.0))
     else:
         x, vals, _ = oscillator1d.ground_profile(
             oscillator1d.Anharmonic(point.a, w.t, +1 if degree == 1 else -1), tol=1e-8)
@@ -675,31 +641,26 @@ def quasimode(cf: CircleFunction, w: WittenMatrices, degree: int,
     return q / nq
 
 
-def _projected_quasimodes(cb: ClusterBases, cluster: str):
-    """Cluster vectors, labels, quasimodes and the quasimodes' cluster coordinates."""
-    cf, w, degree = cb.solve.cf, cb.solve.w, cb.degree
-    if cluster == "small":
-        points = {lab: p for lab, p in cf.labels.items()
-                  if p.kind == "nd" and p.index == degree}
-        v = cb.small_vectors
-    else:
-        points = {cluster: cf.labels[cluster]}
-        v = cb.large_vectors[cluster][:, None]
-    if v.shape[1] == 0 or not points:
-        raise DegenerateInput(f"empty cluster {cluster} in degree {degree}")
+def _projected_quasimodes(solve: CircleSolve, degree: int):
+    """Small-cluster vectors, labels, quasimodes and the quasimodes' coordinates."""
+    cf, w = solve.cf, solve.w
+    points = {lab: p for lab, p in cf.labels.items()
+              if p.kind == "nd" and p.index == degree}
+    if not points:
+        raise DegenerateInput(f"empty small cluster in degree {degree}")
+    v = np.column_stack([p.vector for p in solve.pairs[degree][:len(points)]])
     q = np.column_stack([quasimode(cf, w, degree, p) for p in points.values()])
     return v, list(points), q, v.T @ q
 
 
-def localized_basis(cb: ClusterBases, cluster: str) -> dict[str, np.ndarray]:
-    """Cluster basis aligned with critical points via quasimode projection.
+def localized_basis(solve: CircleSolve, degree: int) -> dict[str, np.ndarray]:
+    """Small-cluster basis of one degree aligned with its critical points.
 
-    cluster is "small" or a birth-death label ("bd0", ...).  Model quasimodes
-    are projected onto the cluster eigenspace and symmetrically orthonormalized
-    (Gram matrix inverse square root); signs are fixed by positive overlap
-    with the quasimodes.
+    Model quasimodes are projected onto the small eigenspace and symmetrically
+    orthonormalized (Gram matrix inverse square root); signs are fixed by
+    positive overlap with the quasimodes.
     """
-    v, labels, q, coeff = _projected_quasimodes(cb, cluster)
+    v, labels, q, coeff = _projected_quasimodes(solve, degree)
     gram = coeff.T @ coeff
     evals, evecs = np.linalg.eigh(gram)
     if evals[0] <= 0 or evals[-1] / evals[0] > 1e6:
@@ -716,133 +677,96 @@ def localized_basis(cb: ClusterBases, cluster: str) -> dict[str, np.ndarray]:
     return out
 
 
-def localization_gram(cb: ClusterBases) -> np.ndarray:
+def localization_gram(solve: CircleSolve, degree: int) -> np.ndarray:
     """Gram matrix of the small cluster's projected quasimodes (diagnostic:
     -> identity in t)."""
-    _, _, _, coeff = _projected_quasimodes(cb, "small")
+    _, _, _, coeff = _projected_quasimodes(solve, degree)
     return coeff.T @ coeff
 
 
-# -- matrix elements --------------------------------------------------------------
+# -- the small+large subcomplex ---------------------------------------------------
 
 KERNEL_TOL = 1e-8   # times scale: eigenvalues below count as numerical kernel
 
 
-def _is_numerical_kernel(w: WittenMatrices, value: float) -> bool:
-    return abs(value) <= KERNEL_TOL * w.delta0.scale
+@dataclass(frozen=True)
+class LowComplex:
+    """Omega_0(M, t): the small and large eigenforms of one solve, with d(t) on them.
 
-
-def basis_logvectors(bases: dict[int, ClusterBases]):
-    """Labeled signed-log basis vectors of the low clusters, both degrees.
-
-    One-dimensional small clusters whose eigenvalue is numerically zero are
-    replaced by the exact discrete (co)kernel in log representation, whose
-    exponentially small tails carry full relative accuracy; all other members
-    are lifted grid eigenvectors.  Birth-death 1-form vectors are oriented so
-    that <E_y^1, d(t) E_y^0> is positive.
+    vectors[degree] maps a label to a unit signed-log eigenform: the small
+    eigenforms carry the labels of their critical points (min<i> in degree 0,
+    max<i> in degree 1), the large eigenform of birth-death point bd<i> the
+    label bd<i>:<degree>, which bd_of maps back to bd<i>.  pairings holds
+    <E_b^1, d(t) E_a^0> per (label b, label a), accumulated in signed log
+    space so exponentially small tunneling entries keep their scale.
     """
-    cf, w = bases[0].solve.cf, bases[0].solve.w
-    out = {0: {}, 1: {}}
-    meta = {0: {}, 1: {}}
+    solve: CircleSolve
+    reports: dict                 # degree -> ClusterReport
+    vectors: dict                 # degree -> {label: LogVector}
+    bd_of: dict                   # "bd<i>:<degree>" -> "bd<i>"
+    pairings: dict                # (label1, label0) -> LogValue
+
+
+def low_complex(solve: CircleSolve, strict_floor: bool = True) -> LowComplex:
+    """Certify the clusters of a solve and read Omega_0(M, t) off it.
+
+    Small vectors are the quasimode-aligned `localized_basis`; a
+    one-dimensional small cluster whose eigenvalue is numerically zero is
+    replaced by the exact discrete (co)kernel in log form, whose exponentially
+    small tails carry full relative accuracy, and d(t) of it is exactly zero
+    (amplifying the floating-point cancellation residue by e^{t} rescalings
+    would manufacture noise).  Each large vector is the pair that
+    `spectral_clusters` located in its window, the 0-form with positive
+    overlap with its cutoff model profile, the 1-form oriented so that
+    <E_y^1, d(t) E_y^0> is positive.
+    """
+    reports = spectral_clusters(solve, strict_floor=strict_floor)
+    cf, w = solve.cf, solve.w
+    vectors, bd_of, kernel = {0: {}, 1: {}}, {}, set()
     for degree in (0, 1):
-        cb = bases[degree]
-        if cb.small_vectors.shape[1]:
-            loc = localized_basis(cb, "small")
-            single = len(loc) == 1
+        pairs = solve.pairs[degree]
+        if cf.m_count(degree):
+            loc = localized_basis(solve, degree)
+            exact = len(loc) == 1 and abs(pairs[0].value) <= KERNEL_TOL * w.delta0.scale
             for lab, vec in loc.items():
-                if single and _is_numerical_kernel(w, cb.small_values[0]):
-                    lv = (w.kernel_node_logvec() if degree == 0
-                          else w.kernel_mid_logvec())
+                if exact:
+                    lv = w.kernel_node_logvec() if degree == 0 else w.kernel_mid_logvec()
                     if float(np.dot(lv.to_values(), vec)) < 0:
                         lv = lv.scaled(0.0, -1.0)
-                    out[degree][lab] = lv
-                    meta[degree][lab] = {"kind": "small", "exact_kernel": True,
-                                         "cluster_values": cb.small_values}
+                    kernel.add(lab)
                 else:
-                    out[degree][lab] = LogVector.from_values(vec)
-                    meta[degree][lab] = {"kind": "small", "exact_kernel": False,
-                                         "cluster_values": cb.small_values}
-        for lab, vec in cb.large_vectors.items():
-            if degree == 0:
-                # positive overlap with the (positive) cutoff model profile
-                if float(np.dot(vec, quasimode(cf, w, 0, cf.labels[lab]))) < 0:
-                    vec = -vec
-            key = f"{lab}:{degree}"
-            out[degree][key] = LogVector.from_values(vec)
-            meta[degree][key] = {"kind": "large", "label": lab,
-                                 "value": cb.large_values[lab], "exact_kernel": False}
-    # orient the 1-form birth-death vectors along the d(t) image
-    for lab in bases[0].large_vectors:
-        du = d_image_log(w, out[0][f"{lab}:0"], False)
-        val = out[1][f"{lab}:1"].dot(du)
-        if val.sign < 0:
-            out[1][f"{lab}:1"] = out[1][f"{lab}:1"].scaled(0.0, -1.0)
-    return out, meta, w
+                    lv = LogVector.from_values(vec)
+                vectors[degree][lab] = lv
+        for lab, p in cf.labels.items():
+            if p.kind != "bd":
+                continue
+            vec = pairs[reports[degree].index[lab]].vector
+            if degree == 0 and float(np.dot(vec, quasimode(cf, w, 0, p))) < 0:
+                vec = -vec
+            vectors[degree][f"{lab}:{degree}"] = LogVector.from_values(vec)
+            bd_of[f"{lab}:{degree}"] = lab
+    zero = LogVector(np.zeros(w.n_grid), np.full(w.n_grid, -np.inf))
+    images = {l0: zero if l0 in kernel else w.apply_d_log(v0)
+              for l0, v0 in vectors[0].items()}
+    for key0, du in images.items():
+        if key0 in bd_of:
+            key1 = f"{bd_of[key0]}:1"
+            if vectors[1][key1].dot(du).sign < 0:
+                vectors[1][key1] = vectors[1][key1].scaled(0.0, -1.0)
+    pairings = {(l1, l0): v1.dot(du) for l0, du in images.items()
+                for l1, v1 in vectors[1].items()}
+    return LowComplex(solve, reports, vectors, bd_of, pairings)
 
 
-def d_image_log(w: WittenMatrices, lv: LogVector, exact_kernel: bool) -> LogVector:
-    """d(t) applied to a signed-log form; identically zero on the exact kernel.
-
-    The discrete conjugated difference annihilates e^{-tf} as a real-number
-    identity, so amplifying its floating-point cancellation residue by e^{t}
-    rescalings would manufacture noise; the flag short-circuits it to zero.
-    """
-    if exact_kernel:
-        n = len(lv)
-        return LogVector(np.zeros(n), np.full(n, -np.inf))
-    return w.apply_d_log(lv)
-
-
-def d_pairings(vecs: dict, meta: dict, w: WittenMatrices) -> dict:
-    """<E_b^1, d(t) E_a^0> per (label1, label0) over `basis_logvectors` output."""
-    out = {}
-    for l0, v0 in vecs[0].items():
-        du = d_image_log(w, v0, meta[0][l0]["exact_kernel"])
-        for l1, v1 in vecs[1].items():
-            out[(l1, l0)] = v1.dot(du)
-    return out
-
-
-@dataclass
-class MatrixElements:
-    t: float
-    n_grid: int
-    labels0: list[str]
-    labels1: list[str]
-    raw: dict                     # (label1, label0) -> LogValue
-    rescaled_small: dict          # (label1, label0) -> float, e^t sqrt(pi/2t) x raw
-    meta0: dict
-    meta1: dict
-
-
-def matrix_elements(bases: dict[int, ClusterBases]) -> MatrixElements:
-    """All pairings <E_b^1, d(t) E_a^0> over the low-cluster bases.
-
-    Every pairing is accumulated in signed log space, so exponentially small
-    tunneling entries neither overflow nor lose their scale; the small-block
-    entries are additionally reported with the e^t sqrt(pi/2t) rescaling of
-    the normalized small complex.
-    """
-    vecs, meta, w = basis_logvectors(bases)
-    raw = d_pairings(vecs, meta, w)
-    rescale_log = w.t + 0.5 * math.log(math.pi / (2.0 * w.t))
-    rescaled = {(l1, l0): val.scaled(rescale_log).to_float()
-                for (l1, l0), val in raw.items()
-                if meta[0][l0]["kind"] == "small" and meta[1][l1]["kind"] == "small"}
-    return MatrixElements(w.t, w.n_grid, list(vecs[0]), list(vecs[1]), raw,
-                          rescaled, meta[0], meta[1])
-
-
-def eq7_defect(bases: dict[int, ClusterBases]) -> dict[str, float]:
+def eq7_defect(low: LowComplex) -> dict[str, float]:
     """Relative defect of ||d(t) E_y^0||^2 against the large eigenvalue.
 
     Exact supersymmetry of the factored pair makes the squared image norm of
-    the 0-form vector equal its eigenvalue on the same grid.
+    the located 0-form pair equal its eigenvalue on the same grid.
     """
-    cb = bases[0]
     out = {}
-    for lab, vec in cb.large_vectors.items():
-        image_sq = float(np.sum(cb.solve.w.apply_d(vec) ** 2))
-        lam = cb.large_values[lab]
-        out[lab] = abs(image_sq - lam) / lam
+    for lab, i in low.reports[0].index.items():
+        pair = low.solve.pairs[0][i]
+        image_sq = float(np.sum(low.solve.w.apply_d(pair.vector) ** 2))
+        out[lab] = abs(image_sq - pair.value) / pair.value
     return out

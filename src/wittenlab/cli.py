@@ -64,11 +64,18 @@ def _finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+CONFIG_KEYS = ("simple_zeros", "double_zeros", "self_index", "scale_range")
+
+
 def load_function(args) -> circle_lab.CircleFunction:
     if getattr(args, "example", None):
         return circle_lab.example_function(args.example)
     if getattr(args, "config", None):
         cfg = parse_config(Path(args.config).read_text())
+        for key in cfg:
+            if key not in CONFIG_KEYS:
+                raise DegenerateInput(
+                    f"unknown config key {key!r}; expected one of {', '.join(CONFIG_KEYS)}")
         for key in ("simple_zeros", "double_zeros"):
             val = cfg.get(key, [])
             if not isinstance(val, list) or not all(map(_finite_number, val)):
@@ -77,6 +84,10 @@ def load_function(args) -> circle_lab.CircleFunction:
         if not isinstance(cfg.get("self_index", False), bool):
             raise DegenerateInput(
                 f"self_index must be true or false, got {cfg['self_index']!r}")
+        if cfg.get("self_index", False) and "scale_range" in cfg:
+            raise DegenerateInput(
+                "scale_range cannot be combined with self_index = true, "
+                "which maps the critical values onto [0, 1]")
         scale = cfg.get("scale_range", 1.0)
         if not (_finite_number(scale) and scale > 0):
             raise DegenerateInput(
@@ -200,7 +211,6 @@ def cmd_local(args) -> int:
 def cmd_circle(args) -> int:
     rep = Reporter(args.outdir, f"circle-{args.sub}", args.do_assert)
     cf = load_function(args)
-    consts = constants.load_constants()
     ts = t_schedule(args)
     strict = not args.lenient_floor
 
@@ -208,8 +218,7 @@ def cmd_circle(args) -> int:
         # Richardson pair: the solve of the default grid n and one of 2n
         solve = circle_lab.circle_solve(cf, t, k_eigs=args.k_eigs)
         doubled = circle_lab.circle_solve(cf, t, 2 * solve.n_grid, args.k_eigs)
-        return circle_lab.spectral_clusters(solve, doubled, constants=consts,
-                                            strict_floor=strict_floor)
+        return circle_lab.spectral_clusters(solve, doubled, strict_floor=strict_floor)
 
     if args.sub == "clusters":
         results = _sweep(lambda t: (t, clusters(t, strict)), ts, args.workers)
@@ -231,7 +240,7 @@ def cmd_circle(args) -> int:
     elif args.sub == "fit":
         fit = circle_lab.scaling_fit([clusters(t, strict) for t in ts])
         rows = []
-        e1 = consts["e"][0]
+        e1 = constants.load_constants()["e"][0]
         for lab, data in fit["per_bd"].items():
             rows.append([lab, data["exponent"], data["constant"]])
             target = e1 * abs(cf.labels[lab].a) ** (2.0 / 3.0)
@@ -245,8 +254,7 @@ def cmd_circle(args) -> int:
     elif args.sub == "elements":
         rows_out = []
         solves = [circle_lab.circle_solve(cf, t, k_eigs=args.k_eigs) for t in ts]
-        rows = whs_compare.matrix_element_check(solves, constants=consts,
-                                                strict_floor=strict)
+        rows = whs_compare.matrix_element_check(solves, strict_floor=strict)
         for r in rows:
             rows_out.append([r.t, r.pair, r.raw, r.rescaled, r.target,
                              r.abs_err, r.label])
@@ -302,9 +310,7 @@ def cmd_complex(args) -> int:
         if res.ok:
             b0 = morse_complex.betti(cplx)
             current = cplx
-            while current.bd_pairs():
-                pair = min(current.bd_pairs(),
-                           key=lambda p: (p[0].degree, p[0].f_value, p[0].id))
+            while (pair := morse_complex.next_pair(current)) is not None:
                 print(f"eliminating {pair[0].id}/{pair[1].id} "
                       f"(degree {pair[0].degree}, f={pair[0].f_value:g})")
                 current = morse_complex.eliminate_pair(current, pair[0].id)
@@ -338,12 +344,10 @@ def cmd_compare(args) -> int:
         raise ValueError(f"unknown compare subcommand {args.sub}")
     rep = Reporter(args.outdir, f"compare-{args.sub}", args.do_assert)
     cf = load_function(args)
-    consts = constants.load_constants()
     ts = t_schedule(args)
 
     def run(t):
-        return whs_compare.f_star(circle_lab.circle_solve(cf, t, k_eigs=args.k_eigs),
-                                  constants=consts)
+        return whs_compare.f_star(circle_lab.circle_solve(cf, t, k_eigs=args.k_eigs))
     reports = _sweep(run, ts, args.workers)
     rows = []
     for r in reports:

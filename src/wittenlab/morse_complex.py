@@ -228,18 +228,20 @@ def eliminate_pair(c: CochainComplex, bd0_id: str) -> CochainComplex:
     return out
 
 
+def next_pair(c: CochainComplex) -> tuple[Cell, Cell] | None:
+    """The birth-death pair eliminated next: lowest degree, then lowest f, then id."""
+    return min(c.bd_pairs(), key=lambda p: (p[0].degree, p[0].f_value, p[0].id), default=None)
+
+
 def eliminate_all(c: CochainComplex) -> CochainComplex:
-    """Eliminate every birth-death pair, per degree in increasing f order."""
+    """Eliminate every birth-death pair in the order of `next_pair`."""
     rep = validate(c)
     if not rep.ok:
         raise NotAComplex("; ".join(rep.problems))
     current = c
-    while True:
-        pairs = current.bd_pairs()
-        if not pairs:
-            return current
-        bd0, _ = min(pairs, key=lambda p: (p[0].degree, p[0].f_value, p[0].id))
-        current = eliminate_pair(current, bd0.id)
+    while (pair := next_pair(current)) is not None:
+        current = eliminate_pair(current, pair[0].id)
+    return current
 
 
 # -- gradient flow graphs -----------------------------------------------------

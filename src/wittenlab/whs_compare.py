@@ -10,9 +10,10 @@ deformation strengths up to t = 800 neither overflow nor underflow.
 
 The spectral side comes in as a `circle_lab.CircleSolve`, one per
 deformation strength, built by the caller with `circle_lab.circle_solve`:
-`f_star` and `matrix_element_check` read the matrices and eigenpairs off it
-and never assemble or solve again.  Hat coordinates use the exact inverse
-of the hat matrix from `morse_complex.hat_inverse`.
+`f_star` and `matrix_element_check` read its small+large subcomplex off it
+with `circle_lab.low_complex` and never assemble or solve again.  Hat
+coordinates use the exact inverse of the hat matrix from
+`morse_complex.hat_inverse`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import circle_lab, morse_complex
 from .circle_lab import CircleFunction, CircleSolve, WittenMatrices
 from .constants import load_constants
-from .errors import CellOutsideGrid, DegenerateInput, MissingConstants, NotSelfIndexed
+from .errors import CellOutsideGrid, DegenerateInput, NotSelfIndexed
 from .logspace import LogValue, LogVector, _logsum, logsumexp_signed
 
 TWO_PI = 2.0 * math.pi
@@ -172,11 +173,8 @@ class NormalizationSet:
     curvature: dict
 
 
-def normalizations(cf: CircleFunction, t: float,
-                   constants: dict | None = None) -> NormalizationSet:
-    consts = constants if constants is not None else load_constants()
-    if "e" not in consts or "xi1_0" not in consts:
-        raise MissingConstants("constants table lacks e / xi1_0")
+def normalizations(cf: CircleFunction, t: float) -> NormalizationSet:
+    consts = load_constants()
     e1 = consts["e"][0]
     xi0 = consts["xi1_0"]
     small = {k: 0.25 * (1 - 2 * k) * math.log(math.pi / (2.0 * t)) - t * k
@@ -207,9 +205,7 @@ class ChainMapReport:
     col_labels: dict
     deviation: float            # max |F - I|
     defect: float               # max |delta o F - F o d~|
-    m_measured: dict            # bd label -> LogValue
-    m_ratio: dict               # measured / asymptotic (float)
-    a_measured: dict            # bd label -> float
+    m_ratio: dict               # bd label -> measured / asymptotic bd-block entry
 
 
 def _hat_coordinates(cplx, hats, degree, vec: dict[str, LogValue]) -> dict[str, LogValue]:
@@ -227,7 +223,7 @@ def _hat_coordinates(cplx, hats, degree, vec: dict[str, LogValue]) -> dict[str, 
     return out
 
 
-def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
+def f_star(solve: CircleSolve) -> ChainMapReport:
     """The normalized integration chain map and its distance from identity.
 
     Requires an affinely self-indexed function.  Column conventions:
@@ -242,19 +238,15 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
         raise NotSelfIndexed(
             "chain-map comparison needs min -> 0 / max -> 1; "
             "use the Agmon-rate matrix element checks instead")
-    consts = constants if constants is not None else load_constants()
     cplx, graph, inc_table, hats = circle_complex(cf)
-    bases = circle_lab.cluster_bases(solve, constants=consts)
-    vecs, meta, w = circle_lab.basis_logvectors(bases)
-    norms = normalizations(cf, t, consts)
-    raw_elems = circle_lab.d_pairings(vecs, meta, w)
+    low = circle_lab.low_complex(solve)
+    vecs, bd_of, raw_elems, w = low.vectors, low.bd_of, low.pairings, solve.w
+    norms = normalizations(cf, t)
 
     # measured norm of d(t) E_y^0 per birth-death point (= sqrt of the large
     # eigenvalue); the displayed diagonal normalization is its reciprocal
-    d_image_norm = {}
-    for lab, m in meta[0].items():
-        if m["kind"] == "large":
-            d_image_norm[m["label"]] = abs(raw_elems[(f"{m['label']}:1", lab)].to_float())
+    d_image_norm = {bd_of[lab]: abs(raw_elems[(f"{bd_of[lab]}:1", lab)].to_float())
+                    for lab in vecs[0] if lab in bd_of}
 
     m_measured: dict[str, LogValue] = {}
     m_ratio: dict[str, float] = {}
@@ -270,8 +262,8 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
         labs = list(vecs[degree])
         columns = []
         for lab in labs:
-            kind, bdlab = meta[degree][lab]["kind"], meta[degree][lab].get("label")
-            if kind == "large" and degree == 1:
+            bdlab = bd_of.get(lab)
+            if bdlab is not None and degree == 1:
                 # exact intertwining: Int e^{tf} (M A)^{-1} E_y^1 equals
                 # delta applied to the normalized 0-side column (Stokes),
                 # which needs no tail resolution of the 1-form eigenvector
@@ -279,7 +271,7 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
                 continue
             ints = integrate_cochain(w, degree, vecs[degree][lab], cplx)
             coords = _hat_coordinates(cplx, hats, degree, ints)
-            if kind == "small":
+            if bdlab is None:
                 pref = norms.small_prefactor_log[degree] \
                     - math.log(norms.curvature[lab])
                 col = {cid: v.scaled(pref) for cid, v in coords.items()}
@@ -288,11 +280,10 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
                 m_measured[bdlab] = m_val
                 m_ratio[bdlab] = m_val.sign * math.exp(
                     m_val.log - norms.m_log[bdlab])
-                denom = m_val
-                col = {cid: LogValue(v.sign * denom.sign, v.log - denom.log)
+                col = {cid: LogValue(v.sign * m_val.sign, v.log - m_val.log)
                        for cid, v in coords.items()}
             colv = np.array([col[cid].to_float() for cid in ids])
-            if kind == "large":
+            if bdlab is not None:
                 bd_cols0[bdlab] = colv
             columns.append(colv)
         f_mat = np.column_stack(columns) if columns else np.zeros((len(ids), 0))
@@ -307,13 +298,13 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
     for j, l0 in enumerate(labs0):
         for i, l1 in enumerate(labs1):
             val = raw_elems[(l1, l0)]
-            if meta[0][l0]["kind"] == "small":
+            if l0 not in bd_of:
                 val = val.scaled(d_small_log)
             else:
-                m0 = m_measured[meta[0][l0]["label"]]
+                m0 = m_measured[bd_of[l0]]
                 val = LogValue(val.sign * m0.sign, val.log - m0.log)
-            if meta[1][l1]["kind"] == "large":
-                bdlab1 = meta[1][l1]["label"]
+            if l1 in bd_of:
+                bdlab1 = bd_of[l1]
                 m1 = m_measured[bdlab1]
                 val = LogValue(val.sign * m1.sign,
                                val.log + m1.log - math.log(d_image_norm[bdlab1]))
@@ -321,10 +312,8 @@ def f_star(solve: CircleSolve, constants: dict | None = None) -> ChainMapReport:
     lhs = delta_hat @ f_matrices[0]
     rhs = f_matrices[1] @ dt_mat
     defect = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-
-    a_measured = {lab: 1.0 / v for lab, v in d_image_norm.items()}
     return ChainMapReport(t, w.n_grid, f_matrices, row_labels, col_labels,
-                          deviation, defect, m_measured, m_ratio, a_measured)
+                          deviation, defect, m_ratio)
 
 
 def _identity_pairing(ids: list[str], labs: list[str]) -> np.ndarray:
@@ -350,7 +339,7 @@ class PairingRow:
     label: str
 
 
-def matrix_element_check(solves: list[CircleSolve], constants: dict | None = None,
+def matrix_element_check(solves: list[CircleSolve],
                          strict_floor: bool = True) -> list[PairingRow]:
     """Convergence table of the cluster-basis pairings under d(t).
 
@@ -368,20 +357,18 @@ def matrix_element_check(solves: list[CircleSolve], constants: dict | None = Non
     cf = solves[0].cf
     if any(s.cf != cf for s in solves):
         raise DegenerateInput("all solves must be of one function")
-    consts = constants if constants is not None else load_constants()
-    e1 = consts["e"][0]
+    e1 = load_constants()["e"][0]
     cplx, graph, inc_table, hats = circle_complex(cf)
     points = cf.labels
     ext = "" if cf.self_indexed else "-extension"
     rows = []
     for solve in sorted(solves, key=lambda s: s.t):
         t = solve.t
-        me = circle_lab.matrix_elements(
-            circle_lab.cluster_bases(solve, constants=consts, strict_floor=strict_floor))
-        for (l1, l0), lv in sorted(me.raw.items()):
+        low = circle_lab.low_complex(solve, strict_floor=strict_floor)
+        for (l1, l0), lv in sorted(low.pairings.items()):
             raw = lv.to_float()
-            m0, m1 = me.meta0[l0], me.meta1[l1]
-            if m0["kind"] == m1["kind"] == "small":
+            b0, b1 = low.bd_of.get(l0), low.bd_of.get(l1)
+            if b0 is None and b1 is None:
                 pm, pM = points[l0], points[l1]
                 curv = (abs(float(cf.fpp(pm.theta)))
                         * abs(float(cf.fpp(pM.theta)))) ** 0.25
@@ -391,14 +378,14 @@ def matrix_element_check(solves: list[CircleSolve], constants: dict | None = Non
                 target = float(inc_table.get((l1, l0), 0))
                 rows.append(PairingRow(t, f"{l1}<-{l0}", raw, rescaled, target,
                                        abs(rescaled - target), "nd" + ext))
-            elif m0["kind"] == "large" and m0["label"] == m1.get("label"):
-                bd = points[m0["label"]]
+            elif b0 is not None and b0 == b1:
+                bd = points[b0]
                 denom = math.sqrt(e1) * (abs(bd.a) * t) ** (1.0 / 3.0)
                 rescaled = raw / denom
                 rows.append(PairingRow(t, f"{l1}<-{l0}", raw, rescaled, 1.0,
                                        abs(rescaled - 1.0), "bd"))
             else:
-                kind = "cross-bd" if m0["kind"] == m1["kind"] == "large" else "cross"
+                kind = "cross" if b0 is None or b1 is None else "cross-bd"
                 rows.append(PairingRow(t, f"{l1}<-{l0}", raw, raw, 0.0,
                                        abs(raw), kind))
     return rows

@@ -87,8 +87,7 @@ def test_criterion_06_cluster_counts_and_scaling(a_solves, a_solves_doubled,
     details = []
     sweep_reports = []
     for t in a_sweep:
-        reports = cl.spectral_clusters(a_solves[t], a_solves_doubled[t],
-                                       constants=consts)
+        reports = cl.spectral_clusters(a_solves[t], a_solves_doubled[t])
         sweep_reports.append(reports)
         for degree in (0, 1):
             r = reports[degree]
@@ -109,10 +108,10 @@ def test_criterion_06_cluster_counts_and_scaling(a_solves, a_solves_doubled,
             "; ".join(details))
 
 
-def test_criterion_07_image_norm_identity(a_solves, a_sweep, consts):
+def test_criterion_07_image_norm_identity(a_solves, a_sweep):
     worst = 0.0
     for t in a_sweep:
-        defects = cl.eq7_defect(cl.cluster_bases(a_solves[t], constants=consts))
+        defects = cl.eq7_defect(cl.low_complex(a_solves[t]))
         worst = max(worst, max(defects.values()))
     _report(7, "||d(t) E0||^2 equals the paired eigenvalue", worst <= 1e-8,
             f"max rel defect {worst:.2e}")
@@ -159,8 +158,8 @@ def test_criterion_09_elimination_and_incidence():
             f"{betti_fail}/100 complex failures, {dag_fail}/200 DAG mismatches")
 
 
-def test_criterion_10_chain_map_convergence(a_solves, a_sweep, consts):
-    reports = [wc.f_star(a_solves[t], constants=consts) for t in a_sweep]
+def test_criterion_10_chain_map_convergence(a_solves, a_sweep):
+    reports = [wc.f_star(a_solves[t]) for t in a_sweep]
     devs = [r.deviation for r in reports]
     monotone = all(b < a for a, b in zip(devs, devs[1:]))
     slope = float(np.polyfit(np.log(a_sweep), np.log(devs), 1)[0])
@@ -171,16 +170,15 @@ def test_criterion_10_chain_map_convergence(a_solves, a_sweep, consts):
             f"slope {slope:.3f}; defect(800) {defect_800:.2e}")
 
 
-def test_criterion_11_matrix_element_limits(a_solves, b_solves, b_sweep, consts):
-    rows_a = wc.matrix_element_check(list(a_solves.values()), constants=consts)
+def test_criterion_11_matrix_element_limits(a_solves, b_solves, b_sweep):
+    rows_a = wc.matrix_element_check(list(a_solves.values()))
     by_a = {(r.t, r.pair): r for r in rows_a}
     bd = by_a[(800.0, "bd0:1<-bd0:0")]
     bd_ok = 0.95 <= bd.rescaled <= 1.05
     nd_a = by_a[(800.0, "max0<-min0")]
     nd_a_ok = nd_a.label == "nd" and nd_a.abs_err <= 0.2
 
-    rows_b = wc.matrix_element_check(list(b_solves.values()), constants=consts,
-                                     strict_floor=False)
+    rows_b = wc.matrix_element_check(list(b_solves.values()), strict_floor=False)
     t_max = max(b_sweep)
     nd_b = [r for r in rows_b if r.t == t_max and r.label == "nd-extension"]
     nd_b_ok = len(nd_b) == 4 and all(r.abs_err <= 0.2 for r in nd_b)

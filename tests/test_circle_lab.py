@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from wittenlab import circle_lab as cl, eigensolve
+from wittenlab.constants import load_constants
 from wittenlab.errors import (AssumptionViolated, ClusterOverlap, DegenerateInput,
                               GridTooCoarse, MeanZeroUnreachable,
                               NotAffinelySelfIndexable)
+from wittenlab.logspace import LogVector
 
 SQRT3 = math.sqrt(3.0)
 
@@ -119,23 +121,23 @@ def test_supersymmetric_pairing(example_a):
     assert rel <= 1e-10
 
 
-def test_choose_epsilon_single_bd(example_a, consts):
-    e1, e2 = consts["e"][0], consts["e"][1]
+def test_choose_epsilon_single_bd(example_a):
+    e1, e2 = load_constants()["e"][:2]
     b = abs(example_a.bd_points[0].a) ** (2.0 / 3.0)
     expected = 0.9 * min(0.5 * e1 * b, 0.5 * (e2 * b - e1 * b))
-    assert abs(cl.choose_epsilon(example_a, consts) - expected) <= 1e-12
+    assert abs(cl.choose_epsilon(example_a) - expected) <= 1e-12
 
 
-def test_choose_epsilon_two_bd_spacing_term(example_two_bd, consts):
-    e1, e2 = consts["e"][0], consts["e"][1]
+def test_choose_epsilon_two_bd_spacing_term(example_two_bd):
+    e1, e2 = load_constants()["e"][:2]
     mags = sorted(abs(p.a) for p in example_two_bd.bd_points)
     b = [m ** (2.0 / 3.0) for m in mags]
     cands = [0.5 * e1 * b[0], 0.5 * e1 * (b[1] - b[0]),
              0.5 * (e2 * b[0] - e1 * b[1])]
-    assert abs(cl.choose_epsilon(example_two_bd, consts) - 0.9 * min(cands)) <= 1e-12
+    assert abs(cl.choose_epsilon(example_two_bd) - 0.9 * min(cands)) <= 1e-12
 
 
-def test_choose_epsilon_assumption_violated(example_a, consts):
+def test_choose_epsilon_assumption_violated(example_a):
     from dataclasses import replace
     bad_pts = []
     for i, p in enumerate(example_a.critical_points):
@@ -148,12 +150,11 @@ def test_choose_epsilon_assumption_violated(example_a, consts):
     cf = cl.CircleFunction(example_a.cos_coeffs, example_a.sin_coeffs,
                            example_a.offset, tuple(bad_pts) + (huge,))
     with pytest.raises(AssumptionViolated):
-        cl.choose_epsilon(cf, consts)
+        cl.choose_epsilon(cf)
 
 
-def test_spectral_clusters_counts_and_pairing(a_solves, a_solves_doubled, consts):
-    reports = cl.spectral_clusters(a_solves[200.0], a_solves_doubled[200.0],
-                                   constants=consts)
+def test_spectral_clusters_counts_and_pairing(a_solves, a_solves_doubled):
+    reports = cl.spectral_clusters(a_solves[200.0], a_solves_doubled[200.0])
     for degree in (0, 1):
         r = reports[degree]
         assert r.counts["small"] == 1
@@ -164,10 +165,10 @@ def test_spectral_clusters_counts_and_pairing(a_solves, a_solves_doubled, consts
     assert abs(l0 - l1) / l1 <= 1e-10
 
 
-def test_spectral_clusters_morse(example_morse, consts):
+def test_spectral_clusters_morse(example_morse):
     solve = cl.circle_solve(example_morse, 150.0)
     doubled = cl.circle_solve(example_morse, 150.0, 2 * solve.n_grid)
-    reports = cl.spectral_clusters(solve, doubled, constants=consts)
+    reports = cl.spectral_clusters(solve, doubled)
     assert reports[0].large == {} and reports[0].very_large_floor is None
     assert reports[0].counts["small"] == 1
     # smallest nonzero eigenvalue scales like t (positive limit)
@@ -179,67 +180,66 @@ def test_spectral_clusters_morse(example_morse, consts):
     assert abs(ratios[1] - ratios[0]) / ratios[0] <= 0.2
 
 
-def test_cluster_overlap_at_tiny_t(example_a, consts):
+def test_cluster_overlap_at_tiny_t(example_a):
     with pytest.raises(ClusterOverlap):
-        cl.spectral_clusters(cl.circle_solve(example_a, 3.0, 4096), constants=consts)
+        cl.spectral_clusters(cl.circle_solve(example_a, 3.0, 4096))
 
 
-def test_grid_doubling_stability(example_a, a_solves, a_solves_doubled, consts):
+def test_grid_doubling_stability(example_a, a_solves, a_solves_doubled):
     t = 100.0
     s4096, s8192 = a_solves[t], a_solves_doubled[t]
     assert (s4096.n_grid, s8192.n_grid) == (4096, 8192)
     s16384 = cl.circle_solve(example_a, t, 16384)
-    r1 = cl.spectral_clusters(s4096, s8192, constants=consts)
-    r2 = cl.spectral_clusters(s8192, s16384, constants=consts)
+    r1 = cl.spectral_clusters(s4096, s8192)
+    r2 = cl.spectral_clusters(s8192, s16384)
     for degree in (0, 1):
         a = r1[degree].large["bd0"]
         b = r2[degree].large["bd0"]
         assert abs(a - b) / b <= 1e-6
 
 
-def test_scaling_fit_requires_four_points(a_solves, consts):
+def test_scaling_fit_requires_four_points(a_solves):
     with pytest.raises(DegenerateInput):
-        cl.scaling_fit([cl.spectral_clusters(a_solves[100.0], constants=consts)])
+        cl.scaling_fit([cl.spectral_clusters(a_solves[100.0])])
 
 
-def test_cluster_bases_small_is_kernel(a_solves, consts):
+def test_cluster_bases_small_is_kernel(a_solves):
     t = 100.0
-    bases = cl.cluster_bases(a_solves[t], constants=consts)
     w = a_solves[t].w
     u = np.exp(-t * w.f_nodes)
     u /= np.linalg.norm(u)
-    v = bases[0].small_vectors[:, 0]
+    v = cl.localized_basis(a_solves[t], 0)["min0"]
     assert abs(abs(np.dot(u, v)) - 1.0) <= 1e-10
 
 
-def test_cluster_bases_d_image_proportionality(a_solves, consts):
+def test_cluster_bases_d_image_proportionality(a_solves):
     t = 100.0
-    bases = cl.cluster_bases(a_solves[t], constants=consts)
+    low = cl.low_complex(a_solves[t])
     w = a_solves[t].w
-    e0 = bases[0].large_vectors["bd0"]
-    e1 = bases[1].large_vectors["bd0"]
+    e0 = low.vectors[0]["bd0:0"].to_values()
+    e1 = low.vectors[1]["bd0:1"].to_values()
     img = w.apply_d(e0)
-    lam = bases[0].large_values["bd0"]
+    lam = a_solves[t].pairs[0][low.reports[0].index["bd0"]].value
     assert abs(np.dot(img, img) - lam) / lam <= 1e-8
-    cos = abs(np.dot(img, e1)) / np.linalg.norm(img)
+    # the 1-form is oriented along the image
+    cos = np.dot(img, e1) / np.linalg.norm(img)
     assert 1.0 - cos <= 1e-10
 
 
-def test_eq7(a_solves, consts):
-    d = cl.eq7_defect(cl.cluster_bases(a_solves[400.0], constants=consts))
+def test_eq7(a_solves):
+    d = cl.eq7_defect(cl.low_complex(a_solves[400.0]))
     assert d["bd0"] <= 1e-8
 
 
-def test_localized_basis_single_dim_sign(example_a, a_solves, consts):
+def test_localized_basis_single_dim_sign(example_a, a_solves):
     t = 100.0
-    bases = cl.cluster_bases(a_solves[t], constants=consts)
-    loc = cl.localized_basis(bases[0], "small")
+    loc = cl.localized_basis(a_solves[t], 0)
     v = loc["min0"]
     w = a_solves[t].w
     mn = example_a.minima[0]
     q = cl.quasimode(example_a, w, 0, mn)
     assert np.dot(v, q) > 0
-    assert abs(abs(np.dot(v, bases[0].small_vectors[:, 0])) - 1.0) <= 1e-10
+    assert abs(abs(np.dot(v, a_solves[t].pairs[0][0].vector)) - 1.0) <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -247,9 +247,8 @@ def b_solve_300(example_b):
     return cl.circle_solve(example_b, 300.0)
 
 
-def test_localized_mass_example_b(example_b, b_solve_300, consts):
-    bases = cl.cluster_bases(b_solve_300, constants=consts, strict_floor=False)
-    loc = cl.localized_basis(bases[0], "small")
+def test_localized_mass_example_b(example_b, b_solve_300):
+    loc = cl.localized_basis(b_solve_300, 0)
     w = b_solve_300.w
     th = np.arange(w.n_grid) * w.h
     for lab, p in zip(sorted(loc), example_b.minima):
@@ -259,39 +258,42 @@ def test_localized_mass_example_b(example_b, b_solve_300, consts):
         assert mass >= 0.9
 
 
-def test_gram_converges_to_identity(example_b, b_solve_300, consts):
+def test_gram_converges_to_identity(example_b, b_solve_300):
     defects = []
     for solve in (cl.circle_solve(example_b, 150.0), b_solve_300):
-        bases = cl.cluster_bases(solve, constants=consts, strict_floor=False)
-        g = cl.localization_gram(bases[0])
+        g = cl.localization_gram(solve, 0)
         defects.append(np.max(np.abs(g - np.eye(len(g)))))
     assert defects[1] < defects[0]
 
 
-def test_matrix_elements_cross_bd(two_bd_solve, consts):
-    bases = cl.cluster_bases(two_bd_solve, constants=consts, strict_floor=False)
-    me = cl.matrix_elements(bases)
-    for (l1, l0), lv in me.raw.items():
-        b1, b0 = l1.split(":")[0], l0.split(":")[0]
-        if l1.startswith("bd") and l0.startswith("bd") and b1 != b0:
+def test_quasimode_stays_finite_beyond_its_chart():
+    # Example B unscaled: far from the higher minimum f drops below its value
+    # by more than 700 / t, where e^{-t (f - f(c))} overflows
+    raw = cl.build_circle_function([0.55, 1.85, 3.25, 4.35], [5.45])
+    t = 400.0
+    w = cl.assemble_witten(raw, t, cl.default_n_grid(raw, t))
+    for degree, lab in ((0, "min1"), (1, "max0"), (1, "max1")):
+        q = cl.quasimode(raw, w, degree, raw.labels[lab])
+        assert np.all(np.isfinite(q))
+        assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
+
+
+def test_matrix_elements_cross_bd(two_bd_solve):
+    low = cl.low_complex(two_bd_solve, strict_floor=False)
+    for (l1, l0), lv in low.pairings.items():
+        b1, b0 = low.bd_of.get(l1), low.bd_of.get(l0)
+        if b1 is not None and b0 is not None and b1 != b0:
             assert abs(lv.to_float()) <= 1e-8
 
 
-def test_matrix_elements_small_block_rescaled(a_solves, consts):
-    me = cl.matrix_elements(cl.cluster_bases(a_solves[400.0], constants=consts))
-    val = me.rescaled_small[("max0", "min0")]
-    assert abs(val) <= 0.1
-
-
-def test_richardson_partner_must_double_the_grid(a_solves, a_solves_doubled, consts):
+def test_richardson_partner_must_double_the_grid(a_solves, a_solves_doubled):
     with pytest.raises(DegenerateInput, match="twice the grid"):
-        cl.spectral_clusters(a_solves[100.0], a_solves_doubled[200.0],
-                             constants=consts)
+        cl.spectral_clusters(a_solves[100.0], a_solves_doubled[200.0])
     with pytest.raises(DegenerateInput, match="twice the grid"):
-        cl.spectral_clusters(a_solves[100.0], a_solves[100.0], constants=consts)
+        cl.spectral_clusters(a_solves[100.0], a_solves[100.0])
 
 
-def test_one_assembly_per_grid_and_one_eigensolve_per_degree(example_a, consts,
+def test_one_assembly_per_grid_and_one_eigensolve_per_degree(example_a,
                                                              monkeypatch):
     from wittenlab import whs_compare as wc
     assembled, solved = [], []
@@ -313,19 +315,19 @@ def test_one_assembly_per_grid_and_one_eigensolve_per_degree(example_a, consts,
     t, n = 200.0, 1024
     solve = cl.circle_solve(example_a, t, n)
     doubled = cl.circle_solve(example_a, t, 2 * n)
-    cl.spectral_clusters(solve, doubled, constants=consts)
+    cl.spectral_clusters(solve, doubled)
     assert assembled == [(t, n), (t, 2 * n)]
     assert sorted(size for size, _ in solved) == [n, n, 2 * n, 2 * n]
     assert len(set(solved)) == 4                # one solve per (degree, grid)
 
     assembled.clear()
     solved.clear()
-    wc.f_star(cl.circle_solve(example_a, 100.0, n), constants=consts)
+    wc.f_star(cl.circle_solve(example_a, 100.0, n))
     assert assembled == [(100.0, n)]
     assert len(solved) == len(set(solved)) == 2
 
 
-def test_spectral_clusters_counts_each_window_edge_once(a_solves, consts, monkeypatch):
+def test_spectral_clusters_counts_each_window_edge_once(a_solves, monkeypatch):
     counted = []
     real_count = eigensolve.count_below
 
@@ -334,15 +336,14 @@ def test_spectral_clusters_counts_each_window_edge_once(a_solves, consts, monkey
         return real_count(t, lam)
 
     monkeypatch.setattr(eigensolve, "count_below", count_below)
-    cl.spectral_clusters(a_solves[200.0], constants=consts)
+    cl.spectral_clusters(a_solves[200.0])
     # per degree: eps t^(2/3), the two edges of the bd0 window, the floor
     assert len(counted) == 8
     assert counted[:4] == sorted(counted[:4]) and counted[4:] == counted[:4]
 
 
 def test_cluster_index_names_the_pair_in_its_window(example_two_bd, two_bd_solve, consts):
-    reports = cl.spectral_clusters(two_bd_solve, constants=consts, strict_floor=False)
-    bases = cl.cluster_bases(two_bd_solve, constants=consts, strict_floor=False)
+    reports = cl.spectral_clusters(two_bd_solve, strict_floor=False)
     bd = {lab: p for lab, p in example_two_bd.labels.items() if p.kind == "bd"}
     assert list(bd) == ["bd0", "bd1"]
     s = two_bd_solve.t ** (2.0 / 3.0)
@@ -354,8 +355,27 @@ def test_cluster_index_names_the_pair_in_its_window(example_two_bd, two_bd_solve
             pair = two_bd_solve.pairs[degree][r.index[lab]]
             assert (center - r.epsilon) * s <= pair.value < (center + r.epsilon) * s
             assert r.large[lab] == pair.value
-            assert bases[degree].large_values[lab] == pair.value
-            assert bases[degree].large_vectors[lab] is pair.vector
+
+
+def test_low_complex_labels_and_located_pairs(two_bd_solve, a_solves):
+    low = cl.low_complex(two_bd_solve, strict_floor=False)
+    assert list(low.vectors[0]) == ["min0", "bd0:0", "bd1:0"]
+    assert list(low.vectors[1]) == ["max0", "bd0:1", "bd1:1"]
+    assert low.bd_of == {"bd0:0": "bd0", "bd1:0": "bd1", "bd0:1": "bd0", "bd1:1": "bd1"}
+    assert sorted(low.pairings) == sorted((l1, l0) for l0 in low.vectors[0]
+                                          for l1 in low.vectors[1])
+    for degree in (0, 1):
+        for lab, i in low.reports[degree].index.items():
+            lv = low.vectors[degree][f"{lab}:{degree}"]
+            pair = LogVector.from_values(two_bd_solve.pairs[degree][i].vector)
+            np.testing.assert_array_equal(lv.log, pair.log)
+            assert abs(np.dot(lv.sign, pair.sign)) == len(lv)
+
+    # a numerically zero one-dimensional small cluster is the exact kernel
+    low_a = cl.low_complex(a_solves[100.0])
+    lv, kernel = low_a.vectors[0]["min0"], a_solves[100.0].w.kernel_node_logvec()
+    np.testing.assert_array_equal(lv.log, kernel.log)
+    assert abs(np.dot(lv.sign, kernel.sign)) == len(lv)
 
 
 def test_labels_count_each_kind_by_angle(example_a, example_b):

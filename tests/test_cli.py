@@ -65,8 +65,12 @@ _A_ZEROS = "simple_zeros = [1.0471975511965976, -1.0471975511965976]\n" \
     ("scale_range", _A_ZEROS + "scale_range = -0.3\n"),
     ("scale_range", _A_ZEROS + "scale_range = nan\n"),
     ("scale_range", _A_ZEROS + "scale_range = [0.3]\n"),
+    ("'scale_rang'", "simple_zeros = [0.55, 1.85, 3.25, 4.35]\ndouble_zeros = [5.45]\n"
+     "scale_rang = 0.32\n"),
+    ("scale_range", _A_ZEROS + "self_index = true\nscale_range = 0.5\n"),
 ], ids=["zeros-scalar", "zeros-word", "zeros-inf", "zeros-bool", "index-word",
-        "index-int", "range-negative", "range-nan", "range-list"])
+        "index-int", "range-negative", "range-nan", "range-list", "unknown-key",
+        "index-and-range"])
 def test_bad_config_is_an_input_error(tmp_path, capsys, key, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

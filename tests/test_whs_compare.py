@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wittenlab import circle_lab as cl, morse_complex as mc, whs_compare as wc
+from wittenlab.constants import load_constants
 from wittenlab.errors import CellOutsideGrid, NotSelfIndexed
 from wittenlab.logspace import LogValue, LogVector
 
@@ -53,16 +54,17 @@ def test_stokes_consistency(example_a, example_b):
         assert wc.stokes_defect(cf, cl.assemble_witten(cf, t, n), u) <= 1e-8
 
 
-def test_normalizations_formulas(example_a, consts):
+def test_normalizations_formulas(example_a):
     t = 128.0
-    norms = wc.normalizations(example_a, t, consts)
+    consts = load_constants()
+    norms = wc.normalizations(example_a, t)
     e1 = consts["e"][0]
     a = abs(example_a.bd_points[0].a)
     assert abs(norms.a_entries["bd0"] - 1.0 / (math.sqrt(e1) * (a * t) ** (1 / 3))) <= 1e-15
     m_expect = math.log(consts["xi1_0"]) + math.log(a * t) / 6.0 + t * 0.5
     assert abs(norms.m_log["bd0"] - m_expect) <= 1e-10
     assert abs(norms.small_prefactor_log[0] - 0.25 * math.log(math.pi / (2 * t))) <= 1e-14
-    n2 = wc.normalizations(example_a, 2 * t, consts)
+    n2 = wc.normalizations(example_a, 2 * t)
     ratio = n2.a_entries["bd0"] / norms.a_entries["bd0"]
     assert abs(ratio - 2.0 ** (-1.0 / 3.0)) <= 1e-12
 
@@ -72,8 +74,8 @@ def test_f_star_requires_self_indexing(example_b):
         wc.f_star(cl.circle_solve(example_b, 50.0))
 
 
-def test_f_star_diagonal_near_identity(a_solves, consts):
-    rep = wc.f_star(a_solves[400.0], constants=consts)
+def test_f_star_diagonal_near_identity(a_solves):
+    rep = wc.f_star(a_solves[400.0])
     for degree in (0, 1):
         mat = rep.f_matrices[degree]
         ids = rep.row_labels[degree]
@@ -85,18 +87,21 @@ def test_f_star_diagonal_near_identity(a_solves, consts):
     assert rep.defect <= 1e-6
 
 
-def test_f_star_m_ratio_tends_to_one(a_solves, consts):
-    r1 = wc.f_star(a_solves[100.0], constants=consts)
-    r2 = wc.f_star(a_solves[800.0], constants=consts)
+def test_f_star_m_ratio_tends_to_one(a_solves):
+    r1 = wc.f_star(a_solves[100.0])
+    r2 = wc.f_star(a_solves[800.0])
     assert abs(r2.m_ratio["bd0"] - 1.0) < abs(r1.m_ratio["bd0"] - 1.0)
     assert abs(r2.m_ratio["bd0"] - 1.0) <= 0.05
 
 
-def test_matrix_element_check_example_a(a_solves, consts):
-    rows = wc.matrix_element_check([a_solves[50.0], a_solves[800.0]],
-                                   constants=consts)
+def test_matrix_element_check_example_a(a_solves):
+    # |f''| = 1 at both points of A: the nd row is the small-block pairing
+    # rescaled by e^{t} sqrt(pi/t), sqrt(2) times the e^{t} sqrt(pi/2t) of the
+    # normalized small complex
+    ts = (50.0, 400.0, 800.0)
+    rows = wc.matrix_element_check([a_solves[t] for t in ts])
     by = {(r.t, r.pair): r for r in rows}
-    for t in (50.0, 800.0):
+    for t in ts:
         nd = by[(t, "max0<-min0")]
         assert nd.label == "nd"
         assert abs(nd.rescaled) <= 0.1
@@ -109,9 +114,8 @@ def test_matrix_element_check_example_a(a_solves, consts):
             assert abs(r.raw) <= 1e-8
 
 
-def test_matrix_element_check_example_b(example_b, b_solves, consts, b_sweep):
-    rows = wc.matrix_element_check(list(b_solves.values()), constants=consts,
-                                   strict_floor=False)
+def test_matrix_element_check_example_b(example_b, b_solves, b_sweep):
+    rows = wc.matrix_element_check(list(b_solves.values()), strict_floor=False)
     _, _, table, _ = wc.circle_complex(example_b)
     t_max = max(b_sweep)
     seen = 0
@@ -141,7 +145,7 @@ def test_hat_coordinates_roundtrip(example_b):
 
 
 @pytest.mark.parametrize("name, t", [("example_b", 81.0), ("example_two_bd", 200.0)])
-def test_reversed_critical_points_name_the_same_points(request, consts, name, t):
+def test_reversed_critical_points_name_the_same_points(request, name, t):
     cf = request.getfixturevalue(name)
     rev = cl.CircleFunction(cf.cos_coeffs, cf.sin_coeffs, cf.offset,
                             cf.critical_points[::-1], cf.self_indexed)
@@ -152,8 +156,8 @@ def test_reversed_critical_points_name_the_same_points(request, consts, name, t)
         return {k: [c.id for c in cells] for k, cells in cplx.cells.items()}
 
     assert cell_ids(rev) == cell_ids(cf)
-    rows = [wc.matrix_element_check([cl.circle_solve(f, t)], constants=consts,
-                                    strict_floor=False) for f in (cf, rev)]
+    rows = [wc.matrix_element_check([cl.circle_solve(f, t)], strict_floor=False)
+            for f in (cf, rev)]
     assert rows[0] == rows[1]
     assert {r.pair for r in rows[0] if r.label == "bd"} == \
         {f"{lab}:1<-{lab}:0" for lab, p in cf.labels.items() if p.kind == "bd"}
