@@ -278,6 +278,16 @@ def test_quasimode_stays_finite_beyond_its_chart():
         assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
 
 
+def test_matrix_elements_small_block_rescaled(a_solves):
+    # the small-block pairing of Example A under the e^{t} sqrt(pi/2t)
+    # rescaling of the normalized small complex
+    t = 400.0
+    low = cl.low_complex(a_solves[t])
+    rescale_log = t + 0.5 * math.log(math.pi / (2.0 * t))
+    val = low.pairings[("max0", "min0")].scaled(rescale_log).to_float()
+    assert abs(val) <= 0.1
+
+
 def test_matrix_elements_cross_bd(two_bd_solve):
     low = cl.low_complex(two_bd_solve, strict_floor=False)
     for (l1, l0), lv in low.pairings.items():
