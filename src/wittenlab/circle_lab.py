@@ -38,7 +38,7 @@ from .constants import load_constants
 from .eigensolve import SymTridiag
 from .errors import (AssumptionViolated, ClusterOverlap, DegenerateClassification,
                      DegenerateInput, GridTooCoarse, MeanZeroUnreachable,
-                     NotAffinelySelfIndexable, ProjectionDegenerate)
+                     NotAffinelySelfIndexable, ProjectionDegenerate, WeightOverflow)
 from .logspace import LogVector
 
 TWO_PI = 2.0 * math.pi
@@ -372,6 +372,12 @@ def _sum_of_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s + (g + e + f)
 
 
+# Largest log of a Witten weight e^{t (f_j - f_mid)} / h: its square stays a
+# sixteenth of the largest double, room for a diagonal's sum of two squares
+# and for the scale |diag| + 2 |off| + 2 |corner|.
+LOG_WEIGHT_MAX = 0.5 * (math.log(np.finfo(float).max) - math.log(16.0))
+
+
 def assemble_witten(cf: CircleFunction, t: float, n_grid: int) -> WittenMatrices:
     if n_grid < 64 or n_grid < 40.0 * math.sqrt(t):
         raise GridTooCoarse(
@@ -382,6 +388,11 @@ def assemble_witten(cf: CircleFunction, t: float, n_grid: int) -> WittenMatrices
     fn = cf.f(nodes)
     fm = cf.f(mids)
     fn_next = np.roll(fn, -1)
+    reach = t * max(float(np.max(np.abs(fn_next - fm))), float(np.max(np.abs(fn - fm))))
+    if reach - math.log(h) > LOG_WEIGHT_MAX:
+        raise WeightOverflow(
+            f"t * max|f(node) - f(mid)| = {reach:.4g} over a half cell of n_grid={n_grid}"
+            f" puts a Witten weight past e^{LOG_WEIGHT_MAX:.1f}; refine the grid or lower t")
     wplus = np.exp(t * (fn_next - fm)) / h
     wminus = np.exp(t * (fn - fm)) / h
     d0_diag = _sum_of_squares(wminus, np.roll(wplus, 1))

@@ -16,8 +16,8 @@ import os
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack
 
+from .eigensolve import _lapack as lapack
 from .errors import MissingConstants
 from .oscillator1d import Anharmonic, discretize, grid
 

@@ -30,14 +30,26 @@ eps / SCHUR_SEPARATION.
 
 Everything is free of RNG: starting vectors are fixed index stencils, all
 reductions run in index order, so repeated calls are bit-identical.
+
+This module is the package's one LAPACK entry point (`_lapack`, which
+constants.py reuses).  It loads scipy's compiled `scipy.linalg._flapack`
+extension by file, because `import scipy.linalg` runs the package's
+`__init__`, whose array-API shim loads numpy.f2py, numpy.testing and
+numpy.ma and doubles every command's start-up.  The extension is registered
+in sys.modules under its own name, so a later `import scipy.linalg` reuses
+the same module object.  Where the file is not found the routines come from
+`scipy.linalg.lapack`, which re-exports the same Fortran objects.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 from .errors import CornerPresent, DegenerateInput, NoConvergence, SingularShift
 
@@ -49,6 +61,42 @@ ROOT_TOL = 1e-14          # times scale: bracket width at which the cyclic locat
 # Schur evaluations per cyclic value: 2 deflation tests, the midpoint and at
 # most 2 per halving of a bracket from 2 * scale down to ROOT_TOL * scale.
 LOCATE_EVALS = 100
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def load_lapack(linalg_dir: Path | None = None):
+    """The module holding scipy's LAPACK routines, without scipy.linalg's init.
+
+    linalg_dir is where `_flapack<extension suffix>` is looked for; by
+    default scipy's own `linalg` directory, found without importing scipy.
+    Where no such file is found, `scipy.linalg.lapack` is returned.
+    """
+    if linalg_dir is None:
+        spec = importlib.util.find_spec("scipy")
+        if spec is None or spec.origin is None:
+            raise ImportError("scipy is required for its LAPACK routines")
+        linalg_dir = Path(spec.origin).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = Path(linalg_dir) / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        from scipy.linalg import lapack
+        return lapack
+    if _FLAPACK in sys.modules:     # scipy.linalg, or an earlier call, loaded it
+        return sys.modules[_FLAPACK]
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_FLAPACK]
+        raise
+    return module
+
+
+_lapack = load_lapack()
 
 
 @dataclass(frozen=True)

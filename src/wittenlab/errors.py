@@ -55,6 +55,10 @@ class GridTooCoarse(WittenLabError):
     """n_grid violates the resolution rule for the requested deformation parameter."""
 
 
+class WeightOverflow(GridTooCoarse):
+    """t times the change of f over a half cell puts a Witten weight beyond double range."""
+
+
 class ClusterOverlap(WittenLabError):
     """Spectral cluster intervals collided; deformation parameter too small."""
 

@@ -8,7 +8,7 @@ from wittenlab import circle_lab as cl, eigensolve
 from wittenlab.constants import load_constants
 from wittenlab.errors import (AssumptionViolated, ClusterOverlap, DegenerateInput,
                               GridTooCoarse, MeanZeroUnreachable,
-                              NotAffinelySelfIndexable)
+                              NotAffinelySelfIndexable, WeightOverflow)
 from wittenlab.logspace import LogVector
 
 SQRT3 = math.sqrt(3.0)
@@ -98,6 +98,15 @@ def test_witten_diagonals_rounded_once(example_b):
 def test_grid_too_coarse(example_a):
     with pytest.raises(GridTooCoarse):
         cl.assemble_witten(example_a, 400.0, 256)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [3000.0, 1e4])
+def test_weight_overflow_is_named(example_a, alpha):
+    """A Witten weight past double range is refused before any exp or square
+    overflows (3000 overflowed a square, 1e4 the exp itself)."""
+    with pytest.raises(WeightOverflow):
+        cl.circle_solve(cl.rescale(example_a, alpha), 200.0)
 
 
 def test_discrete_kernel_is_sampled_exponential(example_a):

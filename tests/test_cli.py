@@ -20,21 +20,25 @@ def run(args):
 
 
 def test_cold_start_loads_no_optional_scipy():
-    """Start-up imports only what every command runs; a moved zero loads brentq itself."""
+    """Start-up imports only what every command runs: LAPACK without the scipy
+    package; a moved zero loads brentq itself, and the scipy.linalg it brings
+    reuses the LAPACK module already loaded."""
     code = (
         "import sys\n"
         "import wittenlab.cli\n"
-        "from wittenlab import circle_lab, constants\n"
+        "from wittenlab import circle_lab, constants, eigensolve\n"
         "constants.load_constants()\n"
-        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.special')"
-        " if m in sys.modules])\n"
+        "print([m for m in ('scipy', 'scipy.linalg', 'scipy.optimize', 'scipy.sparse',"
+        " 'scipy.special') if m in sys.modules])\n"
         "circle_lab.example_function('B')\n"
-        "print('scipy.optimize' in sys.modules)\n")
+        "import scipy.linalg.lapack\n"
+        "print('scipy.optimize' in sys.modules,"
+        " scipy.linalg.lapack.dstebz is eigensolve._lapack.dstebz)\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[]", "True"]
+    assert out.stdout.splitlines() == ["[]", "True True"]
 
 
 def test_parse_config():
