@@ -157,10 +157,10 @@ class Reporter:
 
 def cmd_constants(args) -> int:
     path = Path(args.out)
-    data = constants.write_constants(path, base_n=args.base_n)
+    data = constants.write_constants(path)
     print(f"wrote {path}")
     print("e:", " ".join(f"{x:.10f}" for x in data["e"]))
-    print("xi1_0:", data["xi1_0"], " oracle gap:", data["oracle"]["richardson_gap"])
+    print("xi1_0:", data["xi1_0"], " oracle gap:", data["oracle"]["gap"])
     return EXIT_OK
 
 
@@ -338,10 +338,6 @@ def cmd_complex(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.sub == "elements":
-        return cmd_circle(args)
-    if args.sub != "fstar":
-        raise ValueError(f"unknown compare subcommand {args.sub}")
     rep = Reporter(args.outdir, f"compare-{args.sub}", args.do_assert)
     cf = load_function(args)
     ts = t_schedule(args)
@@ -399,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="compute and cache the model levels")
     p.add_argument("--out", default=str(constants.default_path()))
-    p.add_argument("--base-n", type=int, default=4096)
 
     p = sub.add_parser("osc1d", help="anharmonic levels vs the cached table")
     _add_common(p, t_flags=False)
@@ -435,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, t_flags=False)
 
     p = sub.add_parser("compare", help="chain-map comparisons")
-    p.add_argument("sub", choices=["fstar", "elements"])
+    p.add_argument("sub", choices=["fstar"])
     _add_common(p)
     return ap
 

@@ -31,14 +31,14 @@ eps / SCHUR_SEPARATION.
 Everything is free of RNG: starting vectors are fixed index stencils, all
 reductions run in index order, so repeated calls are bit-identical.
 
-This module is the package's one LAPACK entry point (`_lapack`, which
-constants.py reuses).  It loads scipy's compiled `scipy.linalg._flapack`
-extension by file, because `import scipy.linalg` runs the package's
-`__init__`, whose array-API shim loads numpy.f2py, numpy.testing and
-numpy.ma and doubles every command's start-up.  The extension is registered
-in sys.modules under its own name, so a later `import scipy.linalg` reuses
-the same module object.  Where the file is not found the routines come from
-`scipy.linalg.lapack`, which re-exports the same Fortran objects.
+This module is the package's one LAPACK entry point (`_lapack`).  It loads
+scipy's compiled `scipy.linalg._flapack` extension by file, because
+`import scipy.linalg` runs the package's `__init__`, whose array-API shim
+loads numpy.f2py, numpy.testing and numpy.ma and doubles every command's
+start-up.  The extension is registered in sys.modules under its own name,
+so a later `import scipy.linalg` reuses the same module object.  Where the
+file is not found the routines come from `scipy.linalg.lapack`, which
+re-exports the same Fortran objects.
 """
 
 from __future__ import annotations

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from wittenlab import circle_lab
-from wittenlab.constants import compute_constants
+from wittenlab import circle_lab, constants
 
 
 @pytest.fixture(scope="session")
 def consts():
-    return compute_constants()
+    return constants.compute_constants()
 
 
 @pytest.fixture(scope="session")
 def consts_doubled():
-    """The constants oracle on twice the default grid, run once per session."""
-    return compute_constants(base_n=8192)
+    """The constants oracle's Galerkin solve on twice its basis."""
+    return constants._galerkin(2 * constants.BASIS_SIZE)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from wittenlab import circle_lab, cli, morse_complex as mc, whs_compare
+from wittenlab import circle_lab, cli, constants, morse_complex as mc, whs_compare
 from wittenlab.circle_lab import example_function
 
 
@@ -90,7 +90,9 @@ def test_constants_command(tmp_path, consts):
     assert run(["constants", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert len(data["e"]) == 8
-    assert data["oracle"]["richardson_gap"] <= 1e-8
+    assert data["oracle"]["gap"] <= 1e-8
+    assert data["oracle"]["basis"] == constants.BASIS_SIZE
+    assert data["oracle"]["omega"] == constants.OMEGA
     assert data == consts
 
 

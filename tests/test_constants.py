@@ -16,9 +16,9 @@ def test_levels_strictly_increasing(consts):
 
 
 def test_oracle_self_report(consts):
-    assert consts["oracle"]["richardson_gap"] <= 1e-8
-    assert consts["oracle"]["n"] == 4096
-    assert consts["oracle"]["L"] == 8.0
+    assert consts["oracle"]["gap"] <= 1e-8
+    assert consts["oracle"]["basis"] == constants.BASIS_SIZE
+    assert consts["oracle"]["omega"] == constants.OMEGA
 
 
 def test_gap_stable_under_doubling(consts, consts_doubled):
@@ -40,8 +40,9 @@ def test_committed_table_matches_oracle(consts):
         Path(__file__).resolve().parents[1] / constants.DEFAULT_FILENAME)
     np.testing.assert_allclose(committed["e"], consts["e"], rtol=1e-12, atol=0)
     np.testing.assert_allclose(committed["xi1_0"], consts["xi1_0"], rtol=1e-12, atol=0)
-    assert committed["oracle"]["n"] == consts["oracle"]["n"]
-    assert committed["oracle"]["L"] == consts["oracle"]["L"]
+    assert committed["oracle"]["basis"] == consts["oracle"]["basis"]
+    assert committed["oracle"]["omega"] == consts["oracle"]["omega"]
+    assert committed["oracle"]["gap"] <= 1e-8
 
 
 def test_env_override(tmp_path, monkeypatch, consts):
@@ -63,4 +64,12 @@ def test_missing_fields_rejected(tmp_path):
 
 def test_missing_file_without_compute(tmp_path):
     with pytest.raises(MissingConstants):
-        constants.load_constants(tmp_path / "nope.json", compute_if_missing=False)
+        constants.load_constants(tmp_path / "nope.json")
+
+
+def test_default_lookup_computes_only_when_no_file_exists(tmp_path, monkeypatch, consts):
+    monkeypatch.setenv(constants.ENV_VAR, str(tmp_path / "nope.json"))
+    repo_copy = json.loads(constants._REPO_COPY.read_text())
+    assert constants.load_constants() == repo_copy
+    monkeypatch.setattr(constants, "_REPO_COPY", tmp_path / "gone.json")
+    assert constants.load_constants() == consts
