@@ -15,15 +15,15 @@ summation by parts exact, which the chain-map comparisons depend on.
 Everything spectral about one deformation strength is read off one
 `CircleSolve`: the matrices of both degrees on one grid and the lowest
 eigenpairs of each, built once by `circle_solve(cf, t, n_grid, k_eigs)`, the
-only code that assembles or eigensolves a Witten matrix.  Callers (the CLI,
-the tests) build the solves and pass them down: `spectral_clusters` certifies
-the counts on a solve's grid and, given a second solve of the same function
-and t on twice the grid, reports Richardson-extrapolated values (4 E_2n -
-E_n) / 3; `low_complex` reads the small+large subcomplex Omega_0(M, t) off
-the solve as one `LowComplex` (its eigenforms of both degrees and the
-pairings of d(t) on them), and the eq. (7) defects are read off that.  The
-constants come from the one committed table (`load_constants`).  Nothing is
-cached between calls.
+only code that assembles or eigensolves a Witten matrix; k_eigs defaults to
+the most pairs that a degree reads (`pairs_needed`).  Callers (the CLI, the
+tests) build the solves and pass them down: `spectral_clusters` certifies the
+counts on a solve's grid and, given a second solve of the same function and t
+on twice the grid, reports Richardson-extrapolated values (4 E_2n - E_n) / 3;
+`low_complex` reads the small+large subcomplex Omega_0(M, t) off the solve as
+one `LowComplex` (its eigenforms of both degrees and the pairings of d(t) on
+them), and the eq. (7) defects are read off that.  The constants come from
+the one committed table (`load_constants`).  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -441,11 +441,19 @@ class CircleSolve:
         return np.array([p.value for p in self.pairs[degree]])
 
 
+def pairs_needed(cf: CircleFunction, degree: int) -> int:
+    """Lowest pairs of one degree that its clusters and Omega_0(M, t) read: its
+    m_k small ones, one large per birth-death point and one above them."""
+    return cf.m_count(degree) + len(cf.bd_points) + 1
+
+
 def circle_solve(cf: CircleFunction, t: float, n_grid: int | None = None,
-                 k_eigs: int = 13) -> CircleSolve:
+                 k_eigs: int | None = None) -> CircleSolve:
     """Assemble Delta0 and Delta1 once and solve each for its k_eigs lowest pairs."""
     if n_grid is None:
         n_grid = default_n_grid(cf, t)
+    if k_eigs is None:
+        k_eigs = max(pairs_needed(cf, degree) for degree in (0, 1))
     w = assemble_witten(cf, t, n_grid)
     pairs = tuple(eigensolve.eigs_lowest(mat, k_eigs, tol=EIG_TOL)
                   for mat in (w.delta0, w.delta1))
@@ -518,7 +526,7 @@ def spectral_clusters(solve: CircleSolve, doubled: CircleSolve | None = None,
     out = {}
     for degree in (0, 1):
         m_k = cf.m_count(degree)
-        need = m_k + len(windows) + 1
+        need = pairs_needed(cf, degree)
         if solve.k_eigs < need:
             raise DegenerateInput(f"k_eigs={solve.k_eigs} below required {need}")
         vals = solve.values(degree)

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +117,7 @@ def _sweep(fn, ts, workers: int):
     """Run fn over the schedule, in a thread pool if workers > 1; results ordered by t."""
     if workers == 1 or len(ts) == 1:
         return [fn(t) for t in ts]
+    from concurrent.futures import ThreadPoolExecutor   # off the cold start: it loads logging
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, ts))
 
@@ -214,14 +214,14 @@ def cmd_circle(args) -> int:
     ts = t_schedule(args)
     strict = not args.lenient_floor
 
-    def clusters(t, strict_floor):
+    def clusters(t):
         # Richardson pair: the solve of the default grid n and one of 2n
-        solve = circle_lab.circle_solve(cf, t, k_eigs=args.k_eigs)
-        doubled = circle_lab.circle_solve(cf, t, 2 * solve.n_grid, args.k_eigs)
-        return circle_lab.spectral_clusters(solve, doubled, strict_floor=strict_floor)
+        solve = circle_lab.circle_solve(cf, t)
+        doubled = circle_lab.circle_solve(cf, t, 2 * solve.n_grid)
+        return circle_lab.spectral_clusters(solve, doubled, strict_floor=strict)
 
     if args.sub == "clusters":
-        results = _sweep(lambda t: (t, clusters(t, strict)), ts, args.workers)
+        results = _sweep(lambda t: (t, clusters(t)), ts, args.workers)
         rows = []
         for t, reports in results:
             s = t ** (2.0 / 3.0)
@@ -238,7 +238,7 @@ def cmd_circle(args) -> int:
                 ["degree", "t", "cluster", "label", "eigenvalue",
                  "eigenvalue_over_t23"], rows)
     elif args.sub == "fit":
-        fit = circle_lab.scaling_fit([clusters(t, strict) for t in ts])
+        fit = circle_lab.scaling_fit([clusters(t) for t in ts])
         rows = []
         e1 = constants.load_constants()["e"][0]
         for lab, data in fit["per_bd"].items():
@@ -252,15 +252,12 @@ def cmd_circle(args) -> int:
                       f"{data['constant']:.5f} vs {target:.5f}")
         rep.csv("fit.csv", ["label", "exponent", "constant"], rows)
     elif args.sub == "elements":
-        rows_out = []
-        solves = [circle_lab.circle_solve(cf, t, k_eigs=args.k_eigs) for t in ts]
-        rows = whs_compare.matrix_element_check(solves, strict_floor=strict)
-        for r in rows:
-            rows_out.append([r.t, r.pair, r.raw, r.rescaled, r.target,
-                             r.abs_err, r.label])
+        rows = whs_compare.matrix_element_check(
+            [circle_lab.circle_solve(cf, t) for t in ts], strict_floor=strict)
         rep.csv("matrix_elements.csv",
                 ["t", "pair", "raw", "rescaled", "target", "abs_err", "label"],
-                rows_out)
+                [[r.t, r.pair, r.raw, r.rescaled, r.target, r.abs_err, r.label]
+                 for r in rows])
         t_max = max(ts)
         for r in rows:
             if r.t == t_max and r.label == "bd":
@@ -341,10 +338,8 @@ def cmd_compare(args) -> int:
     rep = Reporter(args.outdir, f"compare-{args.sub}", args.do_assert)
     cf = load_function(args)
     ts = t_schedule(args)
-
-    def run(t):
-        return whs_compare.f_star(circle_lab.circle_solve(cf, t, k_eigs=args.k_eigs))
-    reports = _sweep(run, ts, args.workers)
+    reports = _sweep(lambda t: whs_compare.f_star(circle_lab.circle_solve(cf, t)),
+                     ts, args.workers)
     rows = []
     for r in reports:
         for degree, mat in r.f_matrices.items():
@@ -381,7 +376,6 @@ def _add_common(p, t_flags=True):
         p.add_argument("--config")
         p.add_argument("--t", type=float)
         p.add_argument("--t-list")
-        p.add_argument("--k-eigs", type=int, default=13)
         p.add_argument("--lenient-floor", action="store_true",
                        help="do not assert emptiness below the very-large floor")
 

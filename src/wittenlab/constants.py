@@ -91,13 +91,12 @@ def _read(path: Path) -> dict:
 
 
 def load_constants(path: str | Path | None = None) -> dict:
-    """Read the constants table at ``path``.
-
-    Without a path, read ``default_path()`` or else the repository copy, and
-    compute the table only when neither file exists.
+    """Read the constants table at ``path``, else at the file $WITTENLAB_CONSTANTS
+    names; either must exist.  Without both, read ``./constants.json`` or else
+    the repository copy, and compute the table only when neither exists.
     """
-    if path is not None:
-        return _read(Path(path))
+    if path is not None or os.environ.get(ENV_VAR):
+        return _read(Path(path or default_path()))
     for cand in (default_path(), _REPO_COPY):
         if cand.is_file():
             return _read(cand)

@@ -48,17 +48,19 @@ def b_sweep():
 
 
 # One CircleSolve per (function, t, grid), shared by every test that reads it.
+# The sweeps solve 13 pairs per degree, more than the clusters need: criterion
+# 08 compares the nonzero spectra of the two degrees beyond Omega_0(M, t).
 
 @pytest.fixture(scope="session")
 def a_solves(example_a, a_sweep):
     """Example A on the default grid of each t in its sweep."""
-    return {t: circle_lab.circle_solve(example_a, t) for t in a_sweep}
+    return {t: circle_lab.circle_solve(example_a, t, k_eigs=13) for t in a_sweep}
 
 
 @pytest.fixture(scope="session")
 def a_solves_doubled(example_a, a_solves):
     """Example A on twice the default grid: the Richardson partners."""
-    return {t: circle_lab.circle_solve(example_a, t, 2 * s.n_grid)
+    return {t: circle_lab.circle_solve(example_a, t, 2 * s.n_grid, 13)
             for t, s in a_solves.items()}
 
 
@@ -71,4 +73,4 @@ def two_bd_solve(example_two_bd):
 @pytest.fixture(scope="session")
 def b_solves(example_b, b_sweep):
     """Example B on the default grid of each t in its sweep."""
-    return {t: circle_lab.circle_solve(example_b, t) for t in b_sweep}
+    return {t: circle_lab.circle_solve(example_b, t, k_eigs=13) for t in b_sweep}

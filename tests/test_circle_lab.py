@@ -198,13 +198,35 @@ def test_grid_doubling_stability(example_a, a_solves, a_solves_doubled):
     t = 100.0
     s4096, s8192 = a_solves[t], a_solves_doubled[t]
     assert (s4096.n_grid, s8192.n_grid) == (4096, 8192)
-    s16384 = cl.circle_solve(example_a, t, 16384)
+    s16384 = cl.circle_solve(example_a, t, 16384, 13)   # k_eigs of its partner
     r1 = cl.spectral_clusters(s4096, s8192)
     r2 = cl.spectral_clusters(s8192, s16384)
     for degree in (0, 1):
         a = r1[degree].large["bd0"]
         b = r2[degree].large["bd0"]
         assert abs(a - b) / b <= 1e-6
+
+
+@pytest.mark.parametrize("fixture,t,strict,need", [("example_a", 200.0, True, 3),
+                                                    ("example_two_bd", 200.0, False, 4),
+                                                    ("example_b", 300.0, False, 4)])
+def test_default_solve_reads_only_the_pairs_it_needs(request, fixture, t, strict, need):
+    """A default solve computes m_k + n_bd + 1 pairs per degree and reports the
+    same large values and bd-pair pairings as a solve of 13 pairs."""
+    cf = request.getfixturevalue(fixture)
+    lean, wide = cl.circle_solve(cf, t), cl.circle_solve(cf, t, k_eigs=13)
+    assert lean.k_eigs == need == max(cl.pairs_needed(cf, d) for d in (0, 1))
+    low_lean = cl.low_complex(lean, strict_floor=strict)
+    low_wide = cl.low_complex(wide, strict_floor=strict)
+    for degree in (0, 1):
+        large, ref = low_lean.reports[degree].large, low_wide.reports[degree].large
+        assert large and large.keys() == ref.keys()
+        for lab, v in large.items():
+            assert abs(v - ref[lab]) <= 1e-12 * ref[lab]
+    for lab in (lab for lab, p in cf.labels.items() if p.kind == "bd"):
+        key = (f"{lab}:1", f"{lab}:0")
+        got, want = low_lean.pairings[key].to_float(), low_wide.pairings[key].to_float()
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_scaling_fit_requires_four_points(a_solves):

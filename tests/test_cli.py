@@ -21,15 +21,16 @@ def run(args):
 
 def test_cold_start_loads_no_optional_scipy():
     """Start-up imports only what every command runs: LAPACK without the scipy
-    package; a moved zero loads brentq itself, and the scipy.linalg it brings
-    reuses the LAPACK module already loaded."""
+    package and no thread pool (only a --workers sweep starts one); a moved
+    zero loads brentq itself, and the scipy.linalg it brings reuses the LAPACK
+    module already loaded."""
     code = (
         "import sys\n"
         "import wittenlab.cli\n"
         "from wittenlab import circle_lab, constants, eigensolve\n"
         "constants.load_constants()\n"
         "print([m for m in ('scipy', 'scipy.linalg', 'scipy.optimize', 'scipy.sparse',"
-        " 'scipy.special') if m in sys.modules])\n"
+        " 'scipy.special', 'concurrent.futures', 'logging') if m in sys.modules])\n"
         "circle_lab.example_function('B')\n"
         "import scipy.linalg.lapack\n"
         "print('scipy.optimize' in sys.modules,"
@@ -149,7 +150,7 @@ def test_circle_fit_honours_lenient_floor(tmp_path, monkeypatch, lenient):
     # stub the solves: only the floor flag handed to spectral_clusters matters
     floors = []
     monkeypatch.setattr(circle_lab, "circle_solve",
-                        lambda cf, t, n_grid=None, k_eigs=13: SimpleNamespace(n_grid=64))
+                        lambda cf, t, n_grid=None, k_eigs=None: SimpleNamespace(n_grid=64))
     monkeypatch.setattr(circle_lab, "spectral_clusters",
                         lambda *a, strict_floor=True, **kw: floors.append(strict_floor))
     monkeypatch.setattr(circle_lab, "scaling_fit", lambda reports: {"per_bd": {}})
@@ -215,3 +216,13 @@ def test_workers_default_is_a_sequential_sweep():
     for argv in (["compare", "fstar", "--example", "A"],
                  ["circle", "clusters", "--example", "A"]):
         assert cli.build_parser().parse_args(argv).workers == 1
+
+
+@pytest.mark.parametrize("argv", [["circle", "clusters", "--example", "A"],
+                                  ["compare", "fstar", "--example", "A"]])
+def test_k_eigs_is_not_an_option(argv, capsys):
+    # every solve computes the pairs its function needs; there is no override
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + ["--k-eigs", "13"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k-eigs 13" in capsys.readouterr().err

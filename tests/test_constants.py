@@ -68,8 +68,17 @@ def test_missing_file_without_compute(tmp_path):
 
 
 def test_default_lookup_computes_only_when_no_file_exists(tmp_path, monkeypatch, consts):
-    monkeypatch.setenv(constants.ENV_VAR, str(tmp_path / "nope.json"))
+    monkeypatch.delenv(constants.ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
     repo_copy = json.loads(constants._REPO_COPY.read_text())
     assert constants.load_constants() == repo_copy
     monkeypatch.setattr(constants, "_REPO_COPY", tmp_path / "gone.json")
     assert constants.load_constants() == consts
+
+
+def test_env_var_naming_a_missing_file_raises(tmp_path, monkeypatch):
+    # a mistyped path is reported, not replaced by the repository copy
+    monkeypatch.setenv(constants.ENV_VAR, str(tmp_path / "nope.json"))
+    with pytest.raises(MissingConstants, match="nope.json"):
+        constants.load_constants()
+
