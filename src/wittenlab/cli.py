@@ -306,11 +306,10 @@ def cmd_complex(args) -> int:
         rep.check("input valid", res.ok, "; ".join(res.problems))
         if res.ok:
             b0 = morse_complex.betti(cplx)
-            current = cplx
-            while (pair := morse_complex.next_pair(current)) is not None:
-                print(f"eliminating {pair[0].id}/{pair[1].id} "
-                      f"(degree {pair[0].degree}, f={pair[0].f_value:g})")
-                current = morse_complex.eliminate_pair(current, pair[0].id)
+            for bd0, bd1 in morse_complex.elimination_order(cplx):
+                print(f"eliminating {bd0.id}/{bd1.id} "
+                      f"(degree {bd0.degree}, f={bd0.f_value:g})")
+            current = morse_complex.eliminate_all(cplx)
             dims = [current.dim(k) for k in sorted(current.cells)]
             print("reduced dims:", dims)
             rep.check("betti preserved", morse_complex.betti(current) == b0,

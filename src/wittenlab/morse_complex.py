@@ -65,12 +65,9 @@ class CochainComplex:
         raise DegenerateInput(f"no cell {cell_id!r}")
 
     def bd_pairs(self) -> list[tuple[Cell, Cell]]:
-        out = []
-        for cs in self.cells.values():
-            for c in cs:
-                if c.kind == "bd0":
-                    out.append((c, self.cell(c.partner)))
-        return out
+        by_id = {c.id: c for cs in self.cells.values() for c in cs}
+        return [(c, by_id.get(c.partner) or self.cell(c.partner))
+                for cs in self.cells.values() for c in cs if c.kind == "bd0"]
 
     def matrix(self, k: int) -> Matrix:
         rows, cols = self.dim(k + 1), self.dim(k)
@@ -134,29 +131,63 @@ class ValidationReport:
     problems: tuple[str, ...]
 
 
+def _square_problems(delta: dict[int, Matrix], k: int) -> list[str]:
+    """The nonzero entries of delta^{k+1} delta^k; an absent matrix is zero."""
+    prod = _matmul(delta.get(k + 1), delta.get(k))
+    return [f"(delta^{k+1} delta^{k})[{i}][{j}] = {v} != 0"
+            for i, row in enumerate(prod) for j, v in enumerate(row) if v != 0]
+
+
+def _unit_entry_problem(delta: dict[int, Matrix], k: int, bd0: Cell, col: int,
+                        bd1: Cell, row: int) -> str | None:
+    """None when the pair entry delta^k[row][col] is 1, else what it is."""
+    m = delta.get(k)
+    entry = m[row][col] if m else 0
+    return None if entry == 1 else f"delta[{bd1.id},{bd0.id}] = {entry}, expected 1"
+
+
 def validate(c: CochainComplex) -> ValidationReport:
-    """delta o delta = 0, unit birth-death pair entries, partner consistency."""
+    """Check that c is a cochain complex whose birth-death pairs cancel.
+
+    Reported as problems:
+    - every nonzero entry of delta^{k+1} delta^k;
+    - a cell listed under a degree other than its own, or an id used twice;
+    - a bd0 cell whose partner is not a bd1 cell naming it back, a bd1 cell
+      whose partner is not such a bd0 cell, and a pair whose cells are not
+      in consecutive degrees;
+    - a pair whose entry delta[bd1, bd0] is not 1.
+    Cells are located through one id -> (degree, index) map.
+    """
     problems = []
     for k in c.degrees():
-        dk = c.matrix(k)
-        dk1 = c.matrix(k + 1)
-        if dk and dk1:
-            prod = _matmul(dk1, dk)
-            for i, row in enumerate(prod):
-                for j, v in enumerate(row):
-                    if v != 0:
-                        problems.append(
-                            f"(delta^{k+1} delta^{k})[{i}][{j}] = {v} != 0")
-    for bd0, bd1 in c.bd_pairs():
-        if bd1.degree != bd0.degree + 1:
-            problems.append(f"pair {bd0.id}/{bd1.id}: degrees not consecutive")
-            continue
-        k, col = c.index_of(bd0.id)
-        _, row = c.index_of(bd1.id)
-        entry = c.matrix(k)[row][col]
-        if entry != 1:
-            problems.append(
-                f"pair entry delta[{bd1.id},{bd0.id}] = {entry}, expected 1")
+        problems += _square_problems(c.delta, k)
+    place: dict[str, tuple[int, int]] = {}
+    for k in c.degrees():
+        for i, cell in enumerate(c.cells[k]):
+            if cell.degree != k:
+                problems.append(f"cell {cell.id} of degree {cell.degree} "
+                                f"is listed under degree {k}")
+            if cell.id in place:
+                problems.append(f"duplicate cell id {cell.id!r}")
+            else:
+                place[cell.id] = (k, i)
+    for k in c.degrees():
+        for col, cell in enumerate(c.cells[k]):
+            if cell.kind == "nd":
+                continue
+            want = "bd1" if cell.kind == "bd0" else "bd0"
+            kk, row = place.get(cell.partner, (None, None))
+            partner = c.cells[kk][row] if kk is not None else None
+            if (partner is None or partner.kind != want
+                    or partner.partner != cell.id):
+                problems.append(f"{cell.kind} cell {cell.id}: partner "
+                                f"{cell.partner!r} is not a {want} cell naming it")
+            elif cell.kind == "bd0" and kk != k + 1:
+                problems.append(
+                    f"pair {cell.id}/{partner.id}: degrees not consecutive")
+            elif cell.kind == "bd0" and (
+                    bad := _unit_entry_problem(c.delta, k, cell, col, partner, row)):
+                problems.append("pair entry " + bad)
     return ValidationReport(not problems, tuple(problems))
 
 
@@ -177,71 +208,115 @@ def betti(c: CochainComplex) -> list[int]:
             for k in range(top + 1)]
 
 
-def eliminate_pair(c: CochainComplex, bd0_id: str) -> CochainComplex:
-    """Remove one birth-death pair by the unit-entry base change.
+_CORRUPTED = "elimination corrupted the complex: "
 
-    Entries between the remaining cells pick up the correction
-    new = old - (column through the pair) * (row through the pair); the
-    adjacent differentials are plain restrictions.
+
+def _working_copy(c: CochainComplex) -> tuple[dict[int, list[Cell]], dict[int, Matrix]]:
+    return ({k: list(cs) for k, cs in c.cells.items()},
+            {k: [list(row) for row in m] for k, m in c.delta.items()})
+
+
+def _reduced(cells: dict[int, list[Cell]], delta: dict[int, Matrix],
+             geometry: dict | None) -> CochainComplex:
+    """A working copy as a complex, without its emptied degrees and matrices."""
+    return CochainComplex({k: cs for k, cs in cells.items() if cs},
+                          {k: m for k, m in delta.items() if m and m[0]},
+                          geometry=geometry)
+
+
+def _cancel(cells: dict[int, list[Cell]], delta: dict[int, Matrix],
+            k: int, col: int, row: int) -> None:
+    """Remove the pair cells[k][col], cells[k+1][row] from a working copy.
+
+    The unit-entry base change: entries of delta^k between the remaining
+    cells become old - (column through the pair) * (row through the pair);
+    delta^{k-1} loses the pair's row and delta^{k+1} its column.
     """
-    bd0 = c.cell(bd0_id)
+    if bad := _unit_entry_problem(delta, k, cells[k][col], col,
+                                  cells[k + 1][row], row):
+        raise PairEntryNotUnit(bad)
+    dk = delta[k]
+    pivot = dk.pop(row)
+    del pivot[col]
+    pivot_nz = [(j, v) for j, v in enumerate(pivot) if v]
+    for r in dk:
+        if a := r.pop(col):
+            for j, v in pivot_nz:
+                r[j] -= a * v
+    if k - 1 in delta:
+        del delta[k - 1][col]
+    for r in delta.get(k + 1, ()):
+        del r[row]
+    del cells[k][col]
+    del cells[k + 1][row]
+
+
+def eliminate_pair(c: CochainComplex, bd0_id: str) -> CochainComplex:
+    """Remove one birth-death pair by the unit-entry base change (`_cancel`).
+
+    The input is not validated, so the output gets a full `validate`.
+    """
+    k, col = c.index_of(bd0_id)
+    bd0 = c.cells[k][col]
     if bd0.kind != "bd0":
         raise DegenerateInput(f"{bd0_id!r} is not a birth-death 0-side cell")
-    bd1 = c.cell(bd0.partner)
-    k, col_y = c.index_of(bd0.id)
-    _, row_y = c.index_of(bd1.id)
-    dk = c.matrix(k)
-    if dk[row_y][col_y] != 1:
-        raise PairEntryNotUnit(
-            f"delta[{bd1.id},{bd0.id}] = {dk[row_y][col_y]}, expected 1")
-
-    new_cells = {
-        q: [cell for cell in cs if cell.id not in (bd0.id, bd1.id)]
-        for q, cs in c.cells.items()
-    }
-    new_cells = {q: cs for q, cs in new_cells.items() if cs}
-    new_delta: dict[int, Matrix] = {}
-    for q in c.degrees():
-        m = c.matrix(q)
-        if not m or not m[0]:
-            continue
-        if q == k:
-            m2 = []
-            for r, row in enumerate(m):
-                if r == row_y:
-                    continue
-                m2.append([row[cc] - row[col_y] * m[row_y][cc]
-                           for cc in range(len(row)) if cc != col_y])
-        elif q == k - 1:
-            m2 = [row for r, row in enumerate(m) if r != col_y]
-        elif q == k + 1:
-            m2 = [[v for cc, v in enumerate(row) if cc != row_y] for row in m]
-        else:
-            m2 = [list(row) for row in m]
-        if m2 and m2[0]:
-            new_delta[q] = m2
-    out = CochainComplex(new_cells, new_delta, geometry=c.geometry)
+    k1, row = c.index_of(bd0.partner)
+    if k1 != k + 1:
+        raise DegenerateInput(
+            f"partner {bd0.partner!r} of {bd0_id!r} is not one degree up")
+    cells, delta = _working_copy(c)
+    _cancel(cells, delta, k, col, row)
+    out = _reduced(cells, delta, c.geometry)
     rep = validate(out)
     if not rep.ok:
-        raise NotAComplex("elimination corrupted the complex: "
-                          + "; ".join(rep.problems))
+        raise NotAComplex(_CORRUPTED + "; ".join(rep.problems))
     return out
 
 
-def next_pair(c: CochainComplex) -> tuple[Cell, Cell] | None:
-    """The birth-death pair eliminated next: lowest degree, then lowest f, then id."""
-    return min(c.bd_pairs(), key=lambda p: (p[0].degree, p[0].f_value, p[0].id), default=None)
+def elimination_order(c: CochainComplex) -> list[tuple[Cell, Cell]]:
+    """The birth-death pairs (bd0, bd1) in elimination order: lowest degree,
+    then lowest f, then id.  Elimination changes no remaining pair's degree
+    or f, so this order is fixed before the first pair goes."""
+    return sorted(c.bd_pairs(), key=lambda p: (p[0].degree, p[0].f_value, p[0].id))
 
 
 def eliminate_all(c: CochainComplex) -> CochainComplex:
-    """Eliminate every birth-death pair in the order of `next_pair`."""
+    """Eliminate every birth-death pair, in `elimination_order`, on one
+    working copy of c's cells and matrices; c itself is left unchanged.
+
+    c is validated in full once.  After each pair of degree k is cancelled
+    only what the step can have changed is checked again: the products
+    delta^{k+1} delta^k and delta^k delta^{k-1}, and the unit entries of
+    the remaining degree-k pairs.  That is exactly a full `validate` of the
+    working copy, problem for problem, because every other check reads a
+    restriction of something already checked:
+    - delta^{k+2} delta^{k+1} loses a column and delta^{k-1} delta^{k-2} a
+      row, other products are untouched, and all of them were zero;
+    - a pair of another degree keeps its entry: it lies outside delta^k,
+      in a row and column the step does not delete;
+    - the step removes both cells of a pair, so every remaining cell keeps
+      its degree and its partner.
+    A failed re-check raises NotAComplex("elimination corrupted the complex:
+    ...") with the problems `validate` would report.
+    """
     rep = validate(c)
     if not rep.ok:
         raise NotAComplex("; ".join(rep.problems))
-    current = c
-    while (pair := next_pair(current)) is not None:
-        current = eliminate_pair(current, pair[0].id)
-    return current
+    cells, delta = _working_copy(c)
+    for bd0, bd1 in elimination_order(c):
+        k = bd0.degree
+        _cancel(cells, delta, k, cells[k].index(bd0), cells[k + 1].index(bd1))
+        problems = _square_problems(delta, k - 1) + _square_problems(delta, k)
+        rows = {cell.id: i for i, cell in enumerate(cells[k + 1])}
+        for col, cell in enumerate(cells[k]):
+            if cell.kind == "bd0":
+                row = rows[cell.partner]
+                if bad := _unit_entry_problem(delta, k, cell, col,
+                                              cells[k + 1][row], row):
+                    problems.append("pair entry " + bad)
+        if problems:
+            raise NotAComplex(_CORRUPTED + "; ".join(problems))
+    return _reduced(cells, delta, c.geometry)
 
 
 # -- gradient flow graphs -----------------------------------------------------

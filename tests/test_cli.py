@@ -172,6 +172,23 @@ def test_complex_file_roundtrip_commands(tmp_path):
     assert reduced.dim(0) == 1 and reduced.dim(1) == 1
 
 
+def test_complex_eliminate_prints_the_elimination_order(tmp_path, capsys):
+    text = ("cell x0 0 nd 0.0\ncell y0:0 0 bd0 0.3 y0:1\ncell y1:0 0 bd0 0.6 y1:1\n"
+            "cell y2:0 1 bd0 1.2 y2:1\ncell x1 1 nd 1.0\ncell y0:1 1 bd1 0.3 y0:0\n"
+            "cell y1:1 1 bd1 0.6 y1:0\ncell y2:1 2 bd1 1.2 y2:0\ncell x2 2 nd 2.0\n"
+            "delta 0 y0:1 y0:0 1\ndelta 0 y1:1 y1:0 1\ndelta 1 y2:1 y2:0 1\n")
+    path = tmp_path / "pairs.cplx"
+    path.write_text(text)
+    assert run(["complex", "eliminate", "--file", str(path),
+                "--outdir", str(tmp_path / "e"), "--assert"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith(("eliminating", "reduced"))]
+    assert lines == ["eliminating y0:0/y0:1 (degree 0, f=0.3)",
+                     "eliminating y1:0/y1:1 (degree 0, f=0.6)",
+                     "eliminating y2:0/y2:1 (degree 1, f=1.2)",
+                     "reduced dims: [1, 1, 1]"]
+
+
 def test_complex_incidence_command(tmp_path):
     assert run(["complex", "incidence", "--example", "B",
                 "--outdir", str(tmp_path), "--assert"]) == 0

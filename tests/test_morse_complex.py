@@ -104,6 +104,106 @@ def test_random_complexes_betti_preserved():
             assert red.dim(k) == nd_count
 
 
+def _base_change(c, k, i, j, s):
+    """The complex in the basis where degree-k cell j stands for e_j + s e_i:
+    column j of delta^k gains s * column i, row i of delta^{k-1} loses
+    s * row j.  Unimodular, so it keeps delta o delta = 0 and the Betti
+    numbers; with j nondegenerate and i not a bd1 cell it keeps every pair
+    entry too."""
+    delta = {q: [list(row) for row in m] for q, m in c.delta.items()}
+    for row in delta.get(k, ()):
+        row[j] += s * row[i]
+    if k - 1 in delta:
+        m = delta[k - 1]
+        m[i] = [a - s * b for a, b in zip(m[i], m[j])]
+    return mc.CochainComplex(c.cells, delta)
+
+
+def _shuffled(c, rng, n_ops):
+    for _ in range(n_ops):
+        k = int(rng.choice(c.degrees()))
+        cells = c.cells[k]
+        nd = [j for j, cell in enumerate(cells) if cell.kind == "nd"]
+        sources = [i for i, cell in enumerate(cells) if cell.kind != "bd1"]
+        if len(sources) < 2 or not nd:
+            continue
+        j = int(rng.choice(nd))
+        i = int(rng.choice([i for i in sources if i != j]))
+        c = _base_change(c, k, i, j, int(rng.choice([-1, 1])))
+        assert mc.validate(c).ok
+    return c
+
+
+def _fold_eliminate_pair(c):
+    for bd0, _ in mc.elimination_order(c):
+        c = mc.eliminate_pair(c, bd0.id)
+    return c
+
+
+def test_eliminate_all_equals_fold_of_eliminate_pair():
+    rng = np.random.default_rng(15)
+    shuffled = 0
+    for n in range(200):
+        c = mc.random_complex(rng, n_pairs=int(rng.integers(1, 7)))
+        draws = [c]
+        if n % 4 == 0:
+            draws.append(_shuffled(c, rng, 4))
+            shuffled += draws[-1].delta != c.delta
+        for d in draws:
+            assert (mc.write_complex(mc.eliminate_all(d))
+                    == mc.write_complex(_fold_eliminate_pair(d)))
+    assert shuffled >= 40
+
+
+def test_eliminate_all_leaves_its_input_unchanged():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        c = _shuffled(mc.random_complex(rng, n_pairs=4), rng, 3)
+        cells = {k: list(cs) for k, cs in c.cells.items()}
+        delta = {k: [list(row) for row in m] for k, m in c.delta.items()}
+        mc.eliminate_all(c)
+        assert c.cells == cells and c.delta == delta
+
+
+def test_eliminate_all_reports_a_corrupted_step():
+    cells = {0: [mc.Cell("y0:0", 0, "bd0", 0.3, partner="y0:1"),
+                 mc.Cell("y1:0", 0, "bd0", 0.6, partner="y1:1")],
+             1: [mc.Cell("y0:1", 1, "bd1", 0.3, partner="y0:0"),
+                 mc.Cell("y1:1", 1, "bd1", 0.6, partner="y1:0")]}
+    c = mc.CochainComplex(cells, {0: [[1, 1], [1, 1]]})
+    assert mc.validate(c).ok
+    with pytest.raises(NotAComplex, match=r"elimination corrupted the complex: "
+                       r"pair entry delta\[y1:1,y1:0\] = 0"):
+        mc.eliminate_all(c)
+
+
+@pytest.mark.parametrize("text", [
+    # bd0 names a nondegenerate cell; the bd1 names that bd0
+    "cell a 0 nd 0.0\ncell y:0 0 bd0 0.5 x1\ncell x1 1 nd 1.0\n"
+    "cell y:1 1 bd1 0.5 y:0\ndelta 0 x1 y:0 1\ndelta 0 y:1 y:0 1\n",
+    # two bd0 cells name the same bd1
+    "cell y:0 0 bd0 0.5 y:1\ncell z:0 0 bd0 0.6 y:1\n"
+    "cell y:1 1 bd1 0.5 y:0\ndelta 0 y:1 y:0 1\ndelta 0 y:1 z:0 1\n",
+    # a partner that does not exist
+    "cell y:0 0 bd0 0.5 y:1\n",
+], ids=["bd0_names_nd", "shared_bd1", "missing_partner"])
+def test_validate_reports_inconsistent_partners(text):
+    c = mc.read_complex(text)
+    rep = mc.validate(c)
+    assert not rep.ok
+    assert any("is not a bd" in p for p in rep.problems)
+    with pytest.raises(NotAComplex):
+        mc.eliminate_all(c)
+
+
+def test_validate_reports_misfiled_and_duplicate_cells():
+    x = mc.Cell("x", 0, "nd", 0.0)
+    rep = mc.validate(mc.CochainComplex({0: [x], 1: [x]}, {}))
+    assert not rep.ok
+    assert any("listed under degree 1" in p for p in rep.problems)
+    assert any("duplicate cell id" in p for p in rep.problems)
+
+
 def _graph(vertices, edges):
     vs = {v[0]: mc.FlowVertex(*v) for v in vertices}
     return mc.FlowGraph(vs, edges)
