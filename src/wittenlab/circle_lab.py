@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import eigensolve, oscillator1d
+from . import eigensolve
 from .constants import load_constants
 from .eigensolve import SymTridiag
 from .errors import (AssumptionViolated, ClusterOverlap, DegenerateClassification,
@@ -630,30 +630,17 @@ def _chart_radius(cf: CircleFunction, p: CriticalPoint) -> float:
 
 def quasimode(cf: CircleFunction, w: WittenMatrices, degree: int,
               point: CriticalPoint) -> np.ndarray:
-    """Cutoff model ground profile for one critical point, unit norm.
+    """Cutoff profile e^{-t |f - f(c)|} of one critical point, unit norm.
 
-    Nondegenerate points use the function-adapted profile e^{-t |f - f(c)|},
-    birth-death points the sampled anharmonic ground state (reflected on the
-    1-form side); everything is cut off by a bump inside the point's chart.
+    The bump cuts it off inside the point's chart.  There f rises away from
+    a minimum and falls away from a maximum, so for a nondegenerate point
+    this is the function-adapted model profile of its degree; a birth-death
+    point's profile only fixes the sign of its large 0-form.  The exponent
+    is never positive, so the profile cannot overflow beyond the chart.
     """
     theta = (np.arange(w.n_grid) + (0.5 if degree == 1 else 0.0)) * w.h
-    s = _arc_distance(theta, point.theta)
-    radius = _chart_radius(cf, point)
-    bump = _bump(s, radius)
-    if point.kind == "nd":
-        # only inside the chart, where f rises away from a minimum and falls
-        # away from a maximum: beyond it f may pass f(c) and e^{...} overflow
-        f_here = cf.f(theta)
-        rise = w.t * (f_here - point.f_value) if degree == 0 \
-            else w.t * (point.f_value - f_here)
-        inside = bump > 0.0
-        prof = np.zeros_like(bump)
-        prof[inside] = np.exp(-np.minimum(rise[inside], 700.0))
-    else:
-        x, vals, _ = oscillator1d.ground_profile(
-            oscillator1d.Anharmonic(point.a, w.t, +1 if degree == 1 else -1), tol=1e-8)
-        prof = np.interp(s, x, vals, left=0.0, right=0.0)
-    q = prof * bump
+    bump = _bump(_arc_distance(theta, point.theta), _chart_radius(cf, point))
+    q = np.exp(-w.t * np.abs(cf.f(theta) - point.f_value)) * bump
     nq = np.linalg.norm(q)
     if nq == 0.0:
         raise ProjectionDegenerate(f"quasimode at theta={point.theta:.4f} vanished")
@@ -736,8 +723,8 @@ def low_complex(solve: CircleSolve, strict_floor: bool = True) -> LowComplex:
     (amplifying the floating-point cancellation residue by e^{t} rescalings
     would manufacture noise).  Each large vector is the pair that
     `spectral_clusters` located in its window, the 0-form with positive
-    overlap with its cutoff model profile, the 1-form oriented so that
-    <E_y^1, d(t) E_y^0> is positive.
+    overlap with its point's cutoff profile (`quasimode`), the 1-form
+    oriented so that <E_y^1, d(t) E_y^0> is positive.
     """
     reports = spectral_clusters(solve, strict_floor=strict_floor)
     cf, w = solve.cf, solve.w

@@ -1,32 +1,41 @@
 """Deterministic symmetric eigensolver for (cyclic) tridiagonal matrices.
 
-Acyclic matrices get their lowest eigenvalues from LAPACK dstebz bisection.
-A cyclic matrix (periodic corner entries) is cut at node n-1: dstebz gives
-the lowest eigenvalues mu_j of the acyclic block A that is left, Cauchy
-interlacing puts lambda_j in [mu_{j-1}, mu_j] (closed by -scale and scale),
-and inside that bracket lambda_j is the one sign change of the cut node's
-Schur scalar s(lam) = d - lam - b^T (A - lam)^{-1} b, one tridiagonal solve.
-Most values sit within DEFLATE_TOL * scale of a bracket end (Witten
-eigenvectors are localized); the others take a safeguarded rational
-iteration of at most LOCATE_EVALS evaluations.  k values cost O(nk).
+Acyclic matrices get their lowest eigenvalues from LAPACK dstebz bisection
+and their inertia counts from its Sturm counts, exact for a matrix within a
+few ulps of the input.
+
+A cyclic matrix (periodic corner entries) is read through one cut of the
+cycle (`_Cut`): moving m consecutive indices last writes
+T - lam I = [[A - lam, B], [B^T, C - lam]], with A the acyclic (n-m) block
+and B its border, and S(lam) = C - lam - B^T (A - lam)^{-1} B is the m x m
+Schur complement, one tridiagonal solve.  Every cyclic computation reads it:
+
+- Locations cut node n-1 (m = 1).  dstebz gives the lowest eigenvalues mu_j
+  of A, Cauchy interlacing puts lambda_j in [mu_{j-1}, mu_j] (closed by
+  -scale and scale), and inside that bracket lambda_j is the one sign change
+  of the scalar s(lam), whose slope is -1 - |x|^2 with x = (A - lam)^{-1} b.
+  Most values sit within DEFLATE_TOL * scale of a bracket end (Witten
+  eigenvectors are localized); the others take a safeguarded rational
+  iteration of at most LOCATE_EVALS evaluations.  k values cost O(nk).
+- Shifted solves are a bordered elimination over the same cut:
+  y = (A - sigma)^{-1} r_A, x_n = (r_n - b^T y) / s(sigma) and
+  x_A = y - x x_n.  Below the spectrum A - sigma is positive definite, and
+  with non-positive couplings (b <= 0, s > 0) every term of a positive
+  right-hand side's solution is positive.
+- Inertia counts are certified, never clipped: by Haynsworth additivity the
+  count below lam is the Sturm count of A plus the negative eigenvalues of
+  S(lam).  The cut is moved while A is within SCHUR_SEPARATION * scale of
+  singular, which bounds the relative error of S by about
+  eps / SCHUR_SEPARATION, and then widened to two indices (a constant
+  diagonal at lam makes every odd block singular).
 
 One route then gives the vectors for both shapes: inverse iteration from a
 shift just below each eigenvalue, orthogonalized against the vectors of
-all lower ones.  That iteration is the only user of the shifted solve
-(`_ShiftedTridiagSolve`), which is factored once per shift, dpttrf/dpttrs
-below the spectrum and dgttrf/dgttrs elsewhere; a cyclic solve is the
-acyclic one plus a Sherman-Morrison-Woodbury (SMW) correction for the
-corners.  Each value is the Rayleigh quotient of its vector, written over
-the row sums and couplings of T so that it does not cancel, and a cyclic
-one must lie in its bracket.
-
-Inertia counts are certified, never clipped.  An acyclic count is the dstebz
-Sturm count, exact for a matrix within a few ulps of the input.  A cyclic
-count cuts the cycle at one index: by Haynsworth inertia additivity it is the
-Sturm count of the remaining acyclic block plus the sign of the same Schur
-scalar.  The cut is moved while the block is within SCHUR_SEPARATION * scale
-of singular, which bounds the relative error of that complement by about
-eps / SCHUR_SEPARATION.
+all lower ones, each shift factored once (`_ShiftedTridiagSolve`: dpttrf
+below the spectrum, where the no-pivot LDL^T keeps the ground vector
+positive, and dgttrf elsewhere).  Each value is the Rayleigh quotient of its
+vector, written over the row sums and couplings of T so that it does not
+cancel, and a cyclic one must lie in its bracket.
 
 Everything is free of RNG: starting vectors are fixed index stencils, all
 reductions run in index order, so repeated calls are bit-identical.
@@ -51,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CornerPresent, DegenerateInput, NoConvergence, SingularShift
+from .errors import DegenerateInput, NoConvergence, SingularShift
 
 # A fixed iteration budget: exceeding it is an error, not silent degradation.
 INVIT_SWEEPS = 5
@@ -154,7 +163,7 @@ class EigenPair:
     residual: float
 
 
-# -- inertia counts -----------------------------------------------------------
+# -- Sturm counts -------------------------------------------------------------
 
 def _sturm_window(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:
     """Eigenvalues of the acyclic tridiagonal (diag, off) in (lo, hi].
@@ -182,87 +191,6 @@ def _check_shift(lam: float) -> float:
     return lam
 
 
-def _cuts(n: int) -> list[int]:
-    """Indices at which the cycle is cut, in the order they are tried."""
-    return list(dict.fromkeys([n - 1, n // 2, n // 4, 3 * n // 4, 0]))
-
-
-def _schur_scalar(a_diag: np.ndarray, a_off: np.ndarray, b_first: float,
-                  b_last: float, d: float, lam: float) -> tuple[float, float]:
-    """s(lam) = d - lam - b^T (A - lam)^{-1} b and its slope -1 - |x|^2.
-
-    A = (a_diag, a_off) is the acyclic block left when one node is cut from
-    a cycle; the node has diagonal entry d and couples to A's first row with
-    b_first and to its last with b_last.  x = (A - lam)^{-1} b.
-    """
-    b = np.zeros(len(a_diag))
-    b[0] += b_first
-    b[-1] += b_last
-    if len(a_diag) == 1:
-        x = b / (a_diag[0] - lam)
-    else:
-        x = _ShiftedTridiagSolve(a_diag, a_off, lam).solve(b)
-    return float(d - lam - np.dot(b, x)), float(-1.0 - np.dot(x, x))
-
-
-def _count_below_cyclic(t: SymTridiag, lam: float) -> int:
-    """Inertia of T - lam I by Haynsworth additivity over a cut of the cycle.
-
-    With the m cut indices last, T - lam I = [[A, B], [B^T, C]] where A is
-    the acyclic (n-m) block, so In(T - lam I) = In(A) + In(S) for the m x m
-    Schur complement S = C - B^T A^{-1} B.  The count below lam is the Sturm
-    count of A plus the negative eigenvalues of S, which for m = 1 is the
-    sign of a scalar.  A must be safely nonsingular at lam: when A has an
-    eigenvalue within SCHUR_SEPARATION * scale of lam the cycle is cut at
-    another index, then at two adjacent ones (a constant diagonal at lam
-    makes every odd block singular), and SingularShift is raised if every
-    cut fails.
-    """
-    n = t.n
-    if n == 2:
-        return int(np.sum(np.linalg.eigvalsh(t.to_dense() - lam * np.eye(2)) < 0))
-    ring = np.append(t.offdiag, t.corner)      # ring[i] couples i and i+1 mod n
-    sep = SCHUR_SEPARATION * t.scale
-    for m in (1, 2):
-        k = n - m
-        for cut in _cuts(n):
-            d = np.roll(t.diag, -(cut + 1))    # the cut index goes last
-            e = np.roll(ring, -(cut + 1))
-            a_diag, a_off = d[:k], e[:k - 1]
-            if _sturm_window(a_diag, a_off, lam - sep, lam + sep):
-                continue
-            if m == 1:
-                neg = int(_schur_scalar(a_diag, a_off, e[-1], e[k - 1], d[k], lam)[0] < 0.0)
-            else:
-                c = np.diag(d[k:] - lam) + np.diag(e[k:-1], 1) + np.diag(e[k:-1], -1)
-                b = np.zeros((k, m))
-                b[-1, 0] += e[k - 1]
-                b[0, -1] += e[-1]
-                if k == 1:
-                    x = b / (a_diag[0] - lam)
-                else:
-                    x = _ShiftedTridiagSolve(a_diag, a_off, lam).solve(b)
-                neg = int(np.sum(np.linalg.eigvalsh(c - b.T @ x) < 0.0))
-            return _sturm_below(a_diag, a_off, lam) + neg
-    raise SingularShift(
-        f"every cut of the cycle leaves a block singular at {lam:.6e}")
-
-
-def sturm_count(t: SymTridiag, lam: float) -> int:
-    """Number of eigenvalues of an acyclic tridiagonal matrix strictly below lam."""
-    if t.corner is not None:
-        raise CornerPresent("sturm_count requires an acyclic matrix")
-    return _sturm_below(t.diag, t.offdiag, _check_shift(lam))
-
-
-def count_below(t: SymTridiag, lam: float) -> int:
-    """Inertia count below lam, valid for both acyclic and cyclic matrices."""
-    lam = _check_shift(lam)
-    if t.corner is None:
-        return _sturm_below(t.diag, t.offdiag, lam)
-    return _count_below_cyclic(t, lam)
-
-
 # -- shifted solves -----------------------------------------------------------
 
 class _ShiftedTridiagSolve:
@@ -279,51 +207,115 @@ class _ShiftedTridiagSolve:
     def __init__(self, diag: np.ndarray, off: np.ndarray, sigma: float):
         self.n = n = len(diag)
         shifted = diag - sigma
+        self._pad = pad = max(0, 3 - n)
+        if pad:     # scipy's dpttrf rejects n = 1 and dgttrf n < 3: add decoupled rows
+            shifted, off = np.append(shifted, np.ones(pad)), np.append(off, np.zeros(pad))
         d, e, info = _lapack.dpttrf(shifted, off)
         if info == 0:
             self._pd, self._factors = True, (d, e)
         else:
-            if n == 2:      # scipy's dgttrf wrapper rejects n = 2: add a decoupled row
-                shifted, off = np.append(shifted, 1.0), np.append(off, 0.0)
             dl, du, du1, du2, ipiv, info = _lapack.dgttrf(off, shifted, off)
             if info > 0:
                 raise SingularShift(f"shift {sigma:.6e} is an exact eigenvalue")
             self._pd, self._factors = False, (dl, du, du1, du2, ipiv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._pd:
-            return _lapack.dpttrs(*self._factors, rhs)[0]
-        pad = len(self._factors[1]) - self.n
-        if pad:
-            rhs = np.concatenate([rhs, np.zeros((pad,) + rhs.shape[1:])])
-        return _lapack.dgttrs(*self._factors, rhs)[0][:self.n]
+        if self._pad:
+            rhs = np.concatenate([rhs, np.zeros((self._pad,) + rhs.shape[1:])])
+        trs = _lapack.dpttrs if self._pd else _lapack.dgttrs
+        return trs(*self._factors, rhs)[0][:self.n]
+
+
+# -- one cut of the cycle -----------------------------------------------------
+
+class _Cut:
+    """T - lam I of a cyclic T with the m consecutive indices up to `index` moved last.
+
+    Rolling the cycle so that index is last writes T - lam I as
+    [[A - lam, B], [B^T, C - lam]]: A = (diag, off) is the acyclic (n-m)
+    block, the border B couples A's last row to the first cut index and its
+    first row to the last one, and C is the m x m block of the cut indices.
+    The cut at node n-1 with m = 1 keeps the index order of T.  For m = 1, B
+    is a vector b and C a number, so that S(lam) is a scalar: the locator
+    evaluates it up to LOCATE_EVALS times per eigenvalue.
+    """
+
+    def __init__(self, t: SymTridiag, index: int, m: int):
+        k, j = t.n - m, index + 1
+        ring = np.append(t.offdiag, t.corner)           # ring[i] couples i and i+1 mod n
+        d = np.concatenate((t.diag[j:], t.diag[:j]))    # the cycle rolled to end at index
+        e = np.concatenate((ring[j:], ring[:j]))
+        self.diag, self.off = d[:k], e[:k - 1]
+        b = np.zeros((k, m))
+        b[-1, 0] += e[k - 1]
+        b[0, -1] += e[-1]
+        if m == 1:
+            self.b, self.c, self._eye = b[:, 0], float(d[k]), 1.0
+        else:
+            self.b, self._eye = b, np.eye(m)
+            self.c = np.diag(d[k:]) + np.diag(e[k:-1], 1) + np.diag(e[k:-1], -1)
+
+    def schur(self, lam: float):
+        """(S(lam), X, F): X = (A - lam)^{-1} B and F the factored A - lam."""
+        fac = _ShiftedTridiagSolve(self.diag, self.off, lam)
+        x = fac.solve(self.b)
+        return (self.c - lam * self._eye) - self.b.T @ x, x, fac
+
+
+def _cuts(n: int) -> list[int]:
+    """Indices at which the cycle is cut, in the order they are tried."""
+    return list(dict.fromkeys([n - 1, n // 2, n // 4, 3 * n // 4, 0]))
+
+
+def _count_below_cyclic(t: SymTridiag, lam: float) -> int:
+    """Inertia of T - lam I by Haynsworth additivity over a cut of the cycle.
+
+    In(T - lam I) = In(A - lam) + In(S(lam)) for the block and Schur
+    complement of any `_Cut`, so the count below lam is the Sturm count of A
+    at lam plus that of S at 0.  A must be safely nonsingular at lam: when A
+    has an eigenvalue within SCHUR_SEPARATION * scale of lam the cycle is cut
+    at another index, then at two adjacent ones, and SingularShift is raised
+    if every cut fails.
+    """
+    sep = SCHUR_SEPARATION * t.scale
+    for m in (1, 2):
+        for index in _cuts(t.n):
+            cut = _Cut(t, index, m)
+            if _sturm_window(cut.diag, cut.off, lam - sep, lam + sep):
+                continue
+            s = np.reshape(cut.schur(lam)[0], (m, m))
+            neg = _sturm_below(np.diag(s), np.diag(s, 1), 0.0)
+            return _sturm_below(cut.diag, cut.off, lam) + neg
+    raise SingularShift(
+        f"every cut of the cycle leaves a block singular at {lam:.6e}")
+
+
+def count_below(t: SymTridiag, lam: float) -> int:
+    """Inertia count below lam, valid for both acyclic and cyclic matrices."""
+    lam = _check_shift(lam)
+    if t.corner is None:
+        return _sturm_below(t.diag, t.offdiag, lam)
+    if t.n == 2:        # a 2-cycle's corner adds to its one coupling
+        return _sturm_below(t.diag, t.offdiag + t.corner, lam)
+    return _count_below_cyclic(t, lam)
 
 
 def _apply_shifted_inverse_cyclic(t: SymTridiag, sigma: float):
-    """O(n) application of (T - sigma I)^{-1} for the cyclic matrix.
+    """O(n) application of (T - sigma I)^{-1} for a cyclic T, factored once.
 
-    Sherman-Morrison-Woodbury rank-2 correction of the acyclic solve, with
-    T = T_0 + c (e_0 e_{n-1}^T + e_{n-1} e_0^T).
+    Bordered elimination over the cut at node n-1: y = (A - sigma)^{-1} r_A,
+    x_n = (r_n - b^T y) / s(sigma), x_A = y - x x_n.  SingularShift is
+    raised when s(sigma) is zero or not finite.
     """
-    n = t.n
-    c = float(t.corner)
-    fac = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma)
-    # T = T_0 + U C V^T with U = [e_0, e_{n-1}], V = [e_{n-1}, e_0], C = c I
-    u = np.zeros((n, 2))
-    u[0, 0] = 1.0
-    u[-1, 1] = 1.0
-    au = fac.solve(u)
-    cinv = np.array([[1.0 / c, 0.0], [0.0, 1.0 / c]])
-    cap = cinv + np.array([au[-1], au[0]])
-    det = cap[0, 0] * cap[1, 1] - cap[0, 1] * cap[1, 0]
-    if not np.isfinite(det) or abs(det) < np.finfo(float).tiny * 4:
-        raise SingularShift("cyclic correction capacitance matrix is singular")
-    cap_inv = np.array([[cap[1, 1], -cap[0, 1]], [-cap[1, 0], cap[0, 0]]]) / det
+    cut = _Cut(t, t.n - 1, 1)
+    s, x, fac = cut.schur(sigma)
+    if s == 0.0 or not np.isfinite(s):
+        raise SingularShift(f"cut node's Schur complement is {s} at shift {sigma:.6e}")
 
     def apply(rhs):
-        x0 = fac.solve(rhs)
-        w = np.array([x0[-1], x0[0]])
-        return x0 - au @ (cap_inv @ w)
+        y = fac.solve(rhs[:-1])
+        xn = (rhs[-1] - np.dot(cut.b, y)) / s
+        return np.append(y - x * xn, xn)
 
     return apply
 
@@ -471,18 +463,18 @@ def _root_in_bracket(schur, lo: float, hi: float, lo_pole: bool, hi_pole: bool,
 def _locate_cyclic(t: SymTridiag, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenvalues of a cyclic matrix and the k + 1 ends of their brackets.
 
-    Cutting node n-1 leaves A = (diag[:-1], offdiag[:-1]), coupled to the
-    node through the corner (first row) and offdiag[-1] (last row).
-    lambda_j lies in [ends[j], ends[j + 1]]: A's eigenvalues, closed by
-    -scale and scale, which bound the spectrum.
+    lambda_j lies in [ends[j], ends[j + 1]]: the eigenvalues of the block A
+    left by cutting node n-1, closed by -scale and scale, which bound the
+    spectrum.
     """
     n = t.n
-    a_diag, a_off = t.diag[:-1], t.offdiag[:-1]
-    mu = _lowest_acyclic(a_diag, a_off, min(k, n - 1))
+    cut = _Cut(t, n - 1, 1)
+    mu = _lowest_acyclic(cut.diag, cut.off, min(k, n - 1))
     ends = np.concatenate([[-t.scale], mu, [t.scale]])[:k + 1]
 
     def schur(lam):
-        return _schur_scalar(a_diag, a_off, t.corner, t.offdiag[-1], t.diag[-1], lam)
+        s, x, _ = cut.schur(lam)
+        return float(s), float(-1.0 - np.dot(x, x))
 
     lam = np.array([_root_in_bracket(schur, ends[j], ends[j + 1], j > 0, j < n - 1, t.scale)
                     for j in range(k)])

@@ -11,10 +11,6 @@ class WittenLabError(Exception):
 
 # -- eigensolve ---------------------------------------------------------------
 
-class CornerPresent(WittenLabError):
-    """Operation requires an acyclic tridiagonal matrix but corner entries are set."""
-
-
 class DegenerateInput(WittenLabError):
     """Structurally invalid request (e.g. more eigenpairs than matrix dimension)."""
 

@@ -555,8 +555,7 @@ def circle_complex_from_function(cf) -> tuple[CochainComplex, FlowGraph]:
         src, dst = (la, lb) if slope < 0 else (lb, la)
         if points[src].f_value <= points[dst].f_value:
             raise NotMorseSmale("flow direction contradicts critical values")
-        arcs.append({"lo": lo, "hi": hi, "src": src, "dst": dst,
-                     "plus_end": lb, "minus_end": la})
+        arcs.append({"src": src, "dst": dst, "plus_end": lb, "minus_end": la})
 
     cells0: list[Cell] = []
     cells1: list[Cell] = []
@@ -569,7 +568,6 @@ def circle_complex_from_function(cf) -> tuple[CochainComplex, FlowGraph]:
             cells0.append(Cell(lab + ":0", 0, "bd0", p.f_value, partner=lab + ":1"))
             cells1.append(Cell(lab + ":1", 1, "bd1", p.f_value, partner=lab + ":0"))
             geometry[lab + ":0"] = {"theta": p.theta}
-            geometry[lab + ":1"] = {}
 
     # each maximum owns its two adjacent (descending) arcs; each birth-death
     # point owns the single arc it sources
@@ -586,22 +584,14 @@ def circle_complex_from_function(cf) -> tuple[CochainComplex, FlowGraph]:
             lo_arc = next(a for a in mine if a["plus_end"] == lab)
             hi_arc = next(a for a in mine if a["minus_end"] == lab)
             ends[lab] = (lo_arc["minus_end"], hi_arc["plus_end"])
-            geometry[lab] = {"arcs": [(lo_arc["lo"], lo_arc["hi"]),
-                                      (hi_arc["lo"], hi_arc["hi"])],
-                             "orient": 1,
-                             "theta": p.theta,
-                             "ends": tuple(points[e] for e in ends[lab])}
+            geometry[lab] = {"orient": 1, "ends": tuple(points[e] for e in ends[lab])}
         elif p.kind == "bd":
             if len(mine) != 1:
                 raise NotMorseSmale(f"birth-death point {lab} sources {len(mine)} arcs")
             arc = mine[0]
             ends[lab + ":1"] = (arc["minus_end"], arc["plus_end"])
-            geometry[lab + ":1"].update({
-                "arcs": [(arc["lo"], arc["hi"])],
-                "orient": 1,
-                "theta": p.theta,
-                "ends": tuple(points[e] for e in ends[lab + ":1"]),
-            })
+            geometry[lab + ":1"] = {"orient": 1,
+                                    "ends": tuple(points[e] for e in ends[lab + ":1"])}
         elif p.kind == "nd" and p.index == 0 and mine:
             raise NotMorseSmale(f"minimum {lab} sources an arc")
 

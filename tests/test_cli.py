@@ -189,6 +189,17 @@ def test_complex_eliminate_prints_the_elimination_order(tmp_path, capsys):
                      "reduced dims: [1, 1, 1]"]
 
 
+def test_complex_eliminate_ignores_an_emptied_top_degree(tmp_path, capsys):
+    # the only degree-2 cell is the bd1 of a degree-1 pair: betti [1, 0, 0]
+    # before elimination and [1] after, the same homology
+    path = tmp_path / "top.cplx"
+    path.write_text("cell a 0 nd 0.0\ncell y:1 1 bd0 0.5 y:2\n"
+                    "cell y:2 2 bd1 0.5 y:1\ndelta 1 y:2 y:1 1\n")
+    assert run(["complex", "eliminate", "--file", str(path),
+                "--outdir", str(tmp_path / "e"), "--assert"]) == 0
+    assert "[PASS] betti preserved ([1])" in capsys.readouterr().out
+
+
 def test_complex_incidence_command(tmp_path):
     assert run(["complex", "incidence", "--example", "B",
                 "--outdir", str(tmp_path), "--assert"]) == 0

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from wittenlab import circle_lab, eigensolve as es
-from wittenlab.errors import CornerPresent, DegenerateInput, NoConvergence, SingularShift
+from wittenlab.errors import DegenerateInput, NoConvergence, SingularShift
 
 
 def tridiag(diag, off, corner=None):
@@ -26,20 +26,18 @@ def assert_counts_exact(t, lams):
             if np.min(np.abs(ev - lam)) <= 1e-9 * t.scale:
                 continue
             assert es.count_below(t, lam) == int(np.sum(ev < lam)), (t, lam)
-            if t.corner is None:
-                assert es.sturm_count(t, lam) == int(np.sum(ev < lam))
             checked += 1
     return checked
 
 
 def test_sturm_diagonal_matrix():
     t = tridiag([1.0, 2.0, 3.0], [0.0, 0.0])
-    assert es.sturm_count(t, 2.5) == 2
+    assert es.count_below(t, 2.5) == 2
 
 
 def test_sturm_2x2_closed_form():
     t = tridiag([2.0, 2.0], [-1.0])        # eigenvalues 1 and 3
-    assert es.sturm_count(t, 2.0) == 1
+    assert es.count_below(t, 2.0) == 1
 
 
 def test_sturm_dirichlet_laplacian():
@@ -48,13 +46,7 @@ def test_sturm_dirichlet_laplacian():
     t = tridiag(np.full(n, 2 / h**2), np.full(n - 1, -1 / h**2))
     exact = (4 / h**2) * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
     for lam in [0.5 * exact[3], exact[50] * 1.0001, 3.7e5]:
-        assert es.sturm_count(t, lam) == int(np.sum(exact < lam))
-
-
-def test_sturm_rejects_corner():
-    t = tridiag([2.0, 2.0, 2.0], [-1.0, -1.0], corner=-1.0)
-    with pytest.raises(CornerPresent):
-        es.sturm_count(t, 1.0)
+        assert es.count_below(t, lam) == int(np.sum(exact < lam))
 
 
 def test_eigs_diagonal():
@@ -96,7 +88,7 @@ def test_inertia_consistency_with_returned_values():
     vals = [p.value for p in pairs]
     la, lb = vals[1] - 1e-9, vals[6] + 1e-9
     inside = sum(1 for v in vals if la <= v < lb)
-    assert es.sturm_count(t, lb) - es.sturm_count(t, la) == inside
+    assert es.count_below(t, lb) - es.count_below(t, la) == inside
 
 
 def test_counts_match_dense_for_cyclic():
@@ -166,6 +158,48 @@ def test_solve_shifted_singular_raises():
     t = tridiag([1.0, 1.0, 1.0], [0.0, 0.0])
     with pytest.raises(SingularShift):
         es._ShiftedTridiagSolve(t.diag, t.offdiag, 1.0)
+
+
+def test_bordered_solve_matches_dense():
+    """(T - sigma I)^{-1} r as accurate as T - sigma and the cut block allow.
+
+    Shifts just below each located value, as inverse iteration takes them,
+    and within 1e-12 * scale of an eigenvalue of the block A left by cutting
+    node n-1, where most Witten values sit and x_A = y - x x_n cancels.
+    """
+    rng = np.random.default_rng(111)
+    eps = np.finfo(float).eps
+    checked = 0
+    for n in range(2, 61):
+        t = random_tridiag(rng, n, cyclic=True)
+        dense = t.to_dense()
+        ev, mu = np.linalg.eigvalsh(dense), np.linalg.eigvalsh(dense[:-1, :-1])
+        r = rng.normal(size=n)
+        for sigma in np.concatenate([es.eigvals_lowest(t, n) - 1e-9 * t.scale,
+                                     mu - 1e-12 * t.scale, mu + 0.5e-12 * t.scale]):
+            x = es._apply_shifted_inverse_cyclic(t, sigma)(r)
+            ref = np.linalg.solve(dense - sigma * np.eye(n), r)
+            dist = min(np.min(np.abs(ev - sigma)), np.min(np.abs(mu - sigma)))
+            err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
+            assert err <= 64.0 * eps * t.scale / dist, (n, sigma)
+            checked += 1
+    assert checked >= 5000
+
+
+def test_bordered_solve_raises_where_the_schur_complement_vanishes():
+    # periodic Laplacian of 3 nodes at its zero eigenvalue: the cut block is
+    # positive definite there, and s(0) = 2 - b^T A^{-1} b = 0 exactly
+    t = tridiag([2.0, 2.0, 2.0], [-1.0, -1.0], corner=-1.0)
+    with pytest.raises(SingularShift):
+        es._apply_shifted_inverse_cyclic(t, 0.0)
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_witten_ground_vectors_are_positive(name, a_solves, b_solves):
+    """Below the spectrum every term of the bordered solve is positive."""
+    for solve in {"A": a_solves, "B": b_solves}[name].values():
+        for degree in (0, 1):
+            assert np.min(solve.pairs[degree][0].vector) > 0.0, (solve.t, degree)
 
 
 # -- differential tests against dense eigvalsh ----------------------------------
