@@ -85,11 +85,6 @@ class LogValue:
                                 np.array([self.log, other.log]))
         return LogValue(s, l)
 
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0.0 or other.sign == 0.0:
-            return LogValue(0.0, NEG_INF)
-        return LogValue(self.sign * other.sign, self.log + other.log)
-
     def __repr__(self):
         return f"LogValue(sign={self.sign:+.0f}, log={self.log:.6g})"
 

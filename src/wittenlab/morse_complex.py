@@ -3,14 +3,14 @@
 All arithmetic here is exact (Python integers): incidence numbers are signed
 trajectory counts, ranks and Betti numbers come from fraction-free Gaussian
 elimination, and the elimination of a birth-death pair is the integer base
-change that removes its two cells while preserving cohomology.
+change that removes its two cells while preserving cohomology.  The hat
+basis is unitriangular, so its inverse is a finite integer series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (DegenerateInput, DegreeMismatch, NotAComplex,
                      NotMorseSmale, PairEntryNotUnit)
@@ -447,58 +447,45 @@ def hat_basis(c: CochainComplex, incidence: dict[tuple[str, str], int]) -> dict[
 
 
 def hat_inverse(c: CochainComplex, k: int,
-                hats: dict[str, dict[str, int]]) -> list[list[Fraction]]:
-    """Exact inverse of the degree-k hat matrix.
+                hats: dict[str, dict[str, int]]) -> Matrix:
+    """Exact integer inverse of the degree-k hat matrix.
 
-    Column j of the hat matrix is hat(cells[k][j]) in cell coordinates, so
+    Column j of the hat matrix H is hat(cells[k][j]) in cell coordinates, so
     the inverse maps a degree-k cochain (in the order of cells[k]) to its
-    coordinates in the hat basis.
+    coordinates in the hat basis.  Each hat vector is its own cell plus cells
+    of strictly higher critical value, so H = I - M with M nilpotent and
+    H^{-1} = I + M + M^2 + ... is a finite sum of integer products.  A hat
+    matrix whose M has M^n != 0 is not of that form: NotAComplex.
     """
     cells = c.cells.get(k, [])
     n = len(cells)
     idx = {cell.id: i for i, cell in enumerate(cells)}
-    a = [[Fraction(0)] * n for _ in range(n)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]      # I - H
     for j, cell in enumerate(cells):
         for cid, v in hats[cell.id].items():
-            a[idx[cid]][j] = Fraction(v)
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    # dense exact Gauss-Jordan elimination (dimensions are tiny)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise NotAComplex("hat vectors do not form a basis")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        inv[col] = [x / d for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+            m[idx[cid]][j] -= v
+    inv = power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        power = _matmul(power, m)
+        inv = [[x + y for x, y in zip(ri, rp)] for ri, rp in zip(inv, power)]
+    if any(map(any, power)):
+        raise NotAComplex(f"degree-{k} hat matrix is not unitriangular: "
+                          "I - H is not nilpotent")
     return inv
 
 
 def hat_coboundary(c: CochainComplex, k: int,
-                   hats: dict[str, dict[str, int]]) -> list[list[Fraction]]:
+                   hats: dict[str, dict[str, int]]) -> Matrix:
     """delta^k w.r.t. the hat bases (exact): column j holds the degree-(k+1)
     hat coordinates of delta(hat(cells[k][j]))."""
     lower = c.cells.get(k, [])
-    upper = c.cells.get(k + 1, [])
     dk = c.matrix(k)
-    inv = hat_inverse(c, k + 1, hats)
     col_of = {cell.id: j for j, cell in enumerate(lower)}
-    out = [[Fraction(0)] * len(lower) for _ in upper]
+    hat_lower = [[0] * len(lower) for _ in lower]
     for j, cell in enumerate(lower):
-        image = [0] * len(upper)
         for cid, coeff in hats[cell.id].items():
-            jj = col_of[cid]
-            for r in range(len(upper)):
-                image[r] += coeff * dk[r][jj]
-        for i, row in enumerate(inv):
-            out[i][j] = sum(x * y for x, y in zip(row, image))
-    return out
+            hat_lower[col_of[cid]][j] = coeff
+    return _matmul(hat_inverse(c, k + 1, hats), _matmul(dk, hat_lower))
 
 
 def _verify_hat_closure(c: CochainComplex, hats: dict[str, dict[str, int]]):

@@ -75,7 +75,7 @@ class Spectrum1D:
     L: float
     n: int
     values: np.ndarray
-    vectors: np.ndarray | None = None   # columns, on the finest grid used
+    vectors: np.ndarray | None = None   # columns, on the final grid
 
     def __post_init__(self):
         if isinstance(self.model, Anharmonic):
@@ -123,14 +123,14 @@ def _check_boundary_mass(vectors: np.ndarray, n: int):
                 f"eigenvector {j} has boundary mass {mass:.2e}; enlarge L")
 
 
-def _solve_grid(m: Model1D, L: float, n: int, k: int, tol: float,
-                want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _solve_grid(m: Model1D, L: float, n: int, k: int,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
     t = discretize(m, L, n)
     pairs = eigensolve.eigs_lowest(t, k, tol=min(tol, 1e-11))
     vals = np.array([p.value for p in pairs])
     vecs = np.column_stack([p.vector for p in pairs])
     _check_boundary_mass(vecs, n)
-    return vals, (vecs if want_vectors else None)
+    return vals, vecs
 
 
 def _spectral_unit(m: Model1D) -> float:
@@ -141,13 +141,14 @@ def _spectral_unit(m: Model1D) -> float:
 
 
 def spectrum(m: Model1D, k: int, tol: float = 1e-8, L: float | None = None,
-             n0: int = 1024, want_vectors: bool = False) -> Spectrum1D:
+             n0: int = 1024) -> Spectrum1D:
     """k lowest levels, grid-refined until successive extrapolations agree.
 
     Each refinement step Richardson-extrapolates the (n, 2n) pair; the ladder
     stops when two successive extrapolated value sets agree to tol relative to
     max(|level|, natural spacing) -- the floor keeps exact-zero levels from
-    demanding unreachable relative accuracy.
+    demanding unreachable relative accuracy.  The eigenvectors returned are
+    those of the final grid, unextrapolated.
     """
     if k < 1:
         raise DegenerateInput("k must be at least 1")
@@ -155,10 +156,10 @@ def spectrum(m: Model1D, k: int, tol: float = 1e-8, L: float | None = None,
         L = auto_domain(m, k)
     n = n0
     prev_extrap = None
-    vals_n, _ = _solve_grid(m, L, n, k, tol, False)
+    vals_n, _ = _solve_grid(m, L, n, k, tol)
     floor = _spectral_unit(m)
     while True:
-        vals_2n, vecs = _solve_grid(m, L, 2 * n + 1, k, tol, want_vectors)
+        vals_2n, vecs = _solve_grid(m, L, 2 * n + 1, k, tol)
         extrap = (4.0 * vals_2n - vals_n) / 3.0
         if prev_extrap is not None:
             rel = np.max(np.abs(extrap - prev_extrap)
@@ -172,39 +173,31 @@ def spectrum(m: Model1D, k: int, tol: float = 1e-8, L: float | None = None,
             raise NoConvergence(f"grid refinement cap {REFINE_CAP} reached")
 
 
-def ground_profile(m: Anharmonic, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Ground state on its grid: nodes, continuum-normalized values (positive
-    at the peak) and the level."""
-    sp = spectrum(m, 1, tol=tol, want_vectors=True)
-    x, h = grid(sp.L, sp.n)
-    v = sp.vectors[:, 0]
-    if v[int(np.argmax(np.abs(v)))] < 0:
-        v = -v
-    return x, v / np.sqrt(h), float(sp.values[0])
-
-
 def verify_reflection(a: float, t: float, k: int, tol: float = 1e-8) -> float:
     """Spectral discrepancy between the two form-sign conjugate operators.
 
     The x -> -x reflection conjugates one into the other, so both the spectra
-    and the reflected eigenvectors must agree; the returned number is the max
-    of the relative eigenvalue mismatch and the eigenvector reflection defect.
+    and the reflected eigenvectors must agree; the returned number is the
+    relative eigenvalue mismatch, and an eigenvector whose reflection defect
+    exceeds 1e-3, or two ladders that stop on different grids, raise
+    NoConvergence.
     """
-    sp_minus = spectrum(Anharmonic(a, t, -1), k, tol=tol, want_vectors=True)
-    sp_plus = spectrum(Anharmonic(a, t, +1), k, tol=tol, L=sp_minus.L,
-                       n0=1024, want_vectors=True)
+    sp_minus = spectrum(Anharmonic(a, t, -1), k, tol=tol)
+    sp_plus = spectrum(Anharmonic(a, t, +1), k, tol=tol, L=sp_minus.L, n0=1024)
     vals_rel = float(np.max(np.abs(sp_plus.values - sp_minus.values)
                             / np.abs(sp_minus.values)))
-    if sp_minus.vectors is not None and sp_plus.vectors is not None \
-            and sp_minus.vectors.shape == sp_plus.vectors.shape:
-        for j in range(k):
-            vm = sp_minus.vectors[:, j]
-            vp = sp_plus.vectors[::-1, j]
-            s = 1.0 if np.dot(vm, vp) >= 0 else -1.0
-            defect = float(np.max(np.abs(vm - s * vp)))
-            if defect > 1e-3:
-                raise NoConvergence(
-                    f"eigenvector {j} fails the reflection check: defect {defect:.2e}")
+    if sp_minus.n != sp_plus.n:
+        raise NoConvergence(
+            f"the two ladders stopped on different grids ({sp_minus.n} and "
+            f"{sp_plus.n} nodes), so their eigenvectors cannot be reflected")
+    for j in range(k):
+        vm = sp_minus.vectors[:, j]
+        vp = sp_plus.vectors[::-1, j]
+        s = 1.0 if np.dot(vm, vp) >= 0 else -1.0
+        defect = float(np.max(np.abs(vm - s * vp)))
+        if defect > 1e-3:
+            raise NoConvergence(
+                f"eigenvector {j} fails the reflection check: defect {defect:.2e}")
     return vals_rel
 
 

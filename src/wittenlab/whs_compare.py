@@ -12,8 +12,9 @@ The spectral side comes in as a `circle_lab.CircleSolve`, one per
 deformation strength, built by the caller with `circle_lab.circle_solve`:
 `f_star` and `matrix_element_check` read its small+large subcomplex off it
 with `circle_lab.low_complex` and never assemble or solve again.  Hat
-coordinates use the exact inverse of the hat matrix from
-`morse_complex.hat_inverse`.
+coordinates use the integer inverse of the hat matrix from
+`morse_complex.hat_inverse`: the hat matrix is I - M with M nilpotent, so
+its inverse is the finite sum I + M + M^2 + ... .
 """
 
 from __future__ import annotations

@@ -97,6 +97,21 @@ def test_constants_command(tmp_path, consts):
     assert data == consts
 
 
+def test_constants_record_is_thread_independent(tmp_path):
+    """The written record reads the same under one and two BLAS threads."""
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"constants_{threads}.json"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wittenlab", "constants", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_osc1d_command(tmp_path):
     code = run(["osc1d", "--a", "1", "--t", "8", "--k", "3",
                 "--outdir", str(tmp_path), "--assert"])

@@ -87,25 +87,6 @@ def test_pure_bd_scaling():
     assert np.max(np.abs(v8 - 4.0 * v1) / (4.0 * v1)) <= 1e-7
 
 
-def test_lowest_eigenforms_normalized_and_checked(consts):
-    w0, w1 = lm.lowest_eigenforms(lm.BirthDeath(0, 2, 1.0), 4.0)
-    assert abs(w0.norm() - 1.0) <= 1e-10
-    assert abs(w1.norm() - 1.0) <= 1e-10
-    assert w0.degree == 0 and w1.degree == 1
-    assert w1.form_axes == (2,)
-    target = consts["e"][0] * 4.0 ** (2.0 / 3.0)
-    assert abs(w0.level - target) / target <= 1e-6
-
-
-def test_lowest_eigenforms_reflection_structure():
-    w0, w1 = lm.lowest_eigenforms(lm.BirthDeath(0, 1, 1.0), 2.0)
-    _, x0, v0 = w0.profiles[-1]
-    _, x1, v1 = w1.profiles[-1]
-    # the 1-form profile is the reflection of the 0-form profile
-    v1_on_x0 = np.interp(x0, x1, v1, left=0.0, right=0.0)
-    assert np.max(np.abs(v1_on_x0 - v0[::-1])) <= 1e-5
-
-
 def test_invalid_models():
     with pytest.raises(DegenerateInput):
         lm.NonDegenerate(4, 3)

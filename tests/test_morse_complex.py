@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from wittenlab import circle_lab, morse_complex as mc, whs_compare
 from wittenlab.errors import (DegenerateInput, DegreeMismatch, NotAComplex,
-                              PairEntryNotUnit)
+                              PairEntryNotUnit, WittenLabError)
 
 
 def simple_pair_complex(entry=1):
@@ -379,3 +381,51 @@ def test_hat_inverse_is_exact(name, request):
             prod = [[sum(left[i][m] * right[m][j] for m in range(n))
                      for j in range(n)] for i in range(n)]
             assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_hat_inverse_rejects_a_matrix_that_is_not_unitriangular():
+    # [[2, 1], [1, 1]] is invertible over the integers, but I - H is not
+    # nilpotent, so it is not a hat matrix
+    cells = {0: [mc.Cell("a", 0, "nd", 0.0), mc.Cell("b", 0, "nd", 1.0)]}
+    c = mc.CochainComplex(cells, {})
+    with pytest.raises(NotAComplex, match="not unitriangular"):
+        mc.hat_inverse(c, 0, {"a": {"a": 2, "b": 1}, "b": {"a": 1, "b": 1}})
+
+
+def _generated_zeros(seed):
+    """Two or four simple zeros and up to three double ones near the corners
+    of a regular polygon."""
+    rng = np.random.default_rng(seed)
+    n_simple = int(rng.choice([2, 4]))
+    k = n_simple + int(rng.integers(0, 4))
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    thetas = [phase + (i + rng.uniform(-0.2, 0.2)) * 2.0 * math.pi / k
+              for i in rng.permutation(k)]
+    return thetas[:n_simple], thetas[n_simple:]
+
+
+def _hat_coboundary_holds(cf):
+    """delta^0 in the hat bases: the generalized incidences on the
+    nondegenerate block, hat(y0) -> hat(y1), and 0 everywhere else."""
+    cplx, _, table, hats = whs_compare.circle_complex(cf)
+    expected = [[table[(z.id, x.id)] if x.kind == z.kind == "nd"
+                 else int(x.kind == "bd0" and x.partner == z.id)
+                 for x in cplx.cells[0]] for z in cplx.cells[1]]
+    assert mc.hat_coboundary(cplx, 0, hats) == expected
+
+
+@pytest.mark.parametrize("name", ["example_a", "example_b", "example_two_bd"])
+def test_hat_coboundary_is_the_generalized_incidence(name, request):
+    _hat_coboundary_holds(request.getfixturevalue(name))
+
+
+def test_hat_coboundary_on_generated_functions():
+    built = 0
+    for seed in range(48):
+        try:
+            cf = circle_lab.build_circle_function(*_generated_zeros(seed))
+        except WittenLabError:
+            continue
+        _hat_coboundary_holds(cf)
+        built += 1
+    assert built >= 30

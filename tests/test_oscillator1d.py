@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wittenlab import eigensolve, oscillator1d as osc
-from wittenlab.errors import DegenerateInput, DomainTooSmall, PositivityViolation
+from wittenlab.errors import (DegenerateInput, DomainTooSmall, NoConvergence,
+                             PositivityViolation)
 
 
 def test_harmonic_ladder_shift_minus():
@@ -38,8 +39,7 @@ def test_dual_route_ground_level(consts):
 
 
 def test_boundary_mass_small():
-    sp = osc.spectrum(osc.Anharmonic(1.0, 1.0, -1), 1, tol=1e-7, L=8.0,
-                      want_vectors=True)
+    sp = osc.spectrum(osc.Anharmonic(1.0, 1.0, -1), 1, tol=1e-7, L=8.0)
     v = sp.vectors[:, 0]
     edge = sp.n // 20
     assert float(np.sum(v[:edge] ** 2) + np.sum(v[-edge:] ** 2)) <= 1e-10
@@ -53,6 +53,18 @@ def test_domain_too_small_detected():
 def test_reflection_pairing():
     assert osc.verify_reflection(1.0, 1.0, 4, tol=1e-8) <= 1e-8
     assert osc.verify_reflection(-3.0, 2.0, 2, tol=1e-8) <= 1e-8
+
+
+def test_reflection_rejects_ladders_on_different_grids(monkeypatch):
+    # eigenvectors on two different grids cannot be compared node by node, so
+    # the reflection check must fail loudly rather than be skipped
+    def fake_spectrum(m, k, tol=1e-8, L=None, n0=1024, **_):
+        n = 2049 if m.form_sign < 0 else 4099
+        return osc.Spectrum1D(m, 8.0, n, np.arange(1.0, k + 1.0), np.zeros((n, k)))
+
+    monkeypatch.setattr(osc, "spectrum", fake_spectrum)
+    with pytest.raises(NoConvergence, match="different grids"):
+        osc.verify_reflection(1.0, 1.0, 2)
 
 
 def test_scaling_self_comparison_exact():
