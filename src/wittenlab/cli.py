@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circle_lab, constants, local_model, morse_complex, oscillator1d, whs_compare
+from . import circle_lab, constants, morse_complex, oscillator1d, whs_compare
 from .errors import DegenerateInput, WittenLabError
 
 EXIT_OK = 0
@@ -194,6 +194,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_local(args) -> int:
+    from . import local_model     # its one reader: start-up of every other command skips it
     rep = Reporter(args.outdir, "local", args.do_assert)
     if args.a is not None:
         model = local_model.BirthDeath(args.index, args.dim, args.a)

@@ -2,7 +2,11 @@
 
 Acyclic matrices get their lowest eigenvalues from LAPACK dstebz bisection
 and their inertia counts from its Sturm counts, exact for a matrix within a
-few ulps of the input.
+few ulps of the input.  Given k predicted values (`near`, as a Richardson
+ladder has them from its coarser grids), an acyclic solve skips the
+bisection: inverse iteration runs from shifts just below the predictions,
+and the pairs are accepted on one Sturm count (`_certified_near`), or else
+the bisection route runs.
 
 A cyclic matrix (periodic corner entries) is read through one cut of the
 cycle (`_Cut`): moving m consecutive indices last writes
@@ -29,11 +33,12 @@ Schur complement, one tridiagonal solve.  Every cyclic computation reads it:
   eps / SCHUR_SEPARATION, and then widened to two indices (a constant
   diagonal at lam makes every odd block singular).
 
-One route then gives the vectors for both shapes: inverse iteration from a
-shift just below each eigenvalue, orthogonalized against the vectors of
-all lower ones, each shift factored once (`_ShiftedTridiagSolve`: dpttrf
-below the spectrum, where the no-pivot LDL^T keeps the ground vector
-positive, and dgttrf elsewhere).  Each value is the Rayleigh quotient of its
+One route (`_pairs_near`) then gives the vectors for both shapes and for
+seeded solves: inverse iteration from a shift just below each eigenvalue
+or prediction, orthogonalized against the vectors of all lower ones, each
+shift factored once (`_ShiftedTridiagSolve`: dpttrf below the spectrum,
+where the no-pivot LDL^T keeps the ground vector positive, and dgttrf
+elsewhere).  Each value is the Rayleigh quotient of its
 vector, written over the row sums and couplings of T so that it does not
 cancel, and a cyclic one must lie in its bracket.
 
@@ -70,6 +75,7 @@ ROOT_TOL = 1e-14          # times scale: bracket width at which the cyclic locat
 # Schur evaluations per cyclic value: 2 deflation tests, the midpoint and at
 # most 2 per halving of a bracket from 2 * scale down to ROOT_TOL * scale.
 LOCATE_EVALS = 100
+_SLACK = 64.0 * np.finfo(float).eps   # times scale: rounding of a Rayleigh quotient
 _FLAPACK = "scipy.linalg._flapack"
 
 
@@ -539,19 +545,17 @@ def _inverse_iteration(apply_inv, t: SymTridiag, v: np.ndarray,
         f"after {INVIT_SWEEPS} sweeps")
 
 
-def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11) -> list[EigenPair]:
-    """k smallest eigenpairs, ascending; deterministic, residual <= tol * scale.
+def _pairs_near(t: SymTridiag, lam: np.ndarray, tol: float,
+                ends: np.ndarray | None = None) -> tuple[list[EigenPair], np.ndarray]:
+    """One pair per value of lam, by inverse iteration from a shift just below it.
 
-    A cyclic pair j must have its Rayleigh quotient in the interlacing
-    bracket of lambda_j, widened by its residual and by the rounding of the
+    Returns the pairs in the order of lam and the shifts they came from.  A
+    cyclic pair j must have its Rayleigh quotient in the interlacing bracket
+    [ends[j], ends[j + 1]], widened by its residual and by the rounding of the
     quotient and of the bracket ends (64 eps * scale); otherwise inverse
-    iteration found a neighbour and NoConvergence is raised.  Acyclic values
-    are dstebz bisection on exact Sturm counts and need no such check.
+    iteration found a neighbour and NoConvergence is raised.
     """
-    if tol <= 0:
-        raise DegenerateInput("tol must be positive")
-    scale = t.scale
-    lam, ends = _locate(t, k)
+    k, scale = len(lam), t.scale
     gaps = np.full(k, np.inf)
     if k > 1:
         gaps[:-1] = np.diff(lam)
@@ -559,25 +563,79 @@ def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11) -> list[EigenPair]:
     # a shift a small fraction of the gap below the target gives fast
     # convergence; below the spectrum the acyclic factorization is an
     # M-matrix, which keeps the ground vector entrywise positive
-    below = np.clip(1e-3 * gaps, 1e-12 * scale, 1e-9 * scale)
+    sigma = lam - np.clip(1e-3 * gaps, 1e-12 * scale, 1e-9 * scale)
     start = _stencil_vector(t.n, 0)
     ring, rho = _edge_form(t)
     pairs: list[EigenPair] = []
     for j in range(k):
-        sigma = float(lam[j] - below[j])
         if t.corner is None:
-            apply_inv = _ShiftedTridiagSolve(t.diag, t.offdiag, sigma).solve
+            apply_inv = _ShiftedTridiagSolve(t.diag, t.offdiag, float(sigma[j])).solve
         else:
-            apply_inv = _apply_shifted_inverse_cyclic(t, sigma)
+            apply_inv = _apply_shifted_inverse_cyclic(t, float(sigma[j]))
         v, res = _inverse_iteration(apply_inv, t, start, [p.vector for p in pairs],
                                     tol * scale)
         theta = _rayleigh_quotient(ring, rho, v)
         if ends is not None:
-            slack = res + 64.0 * np.finfo(float).eps * scale
+            slack = res + _SLACK * scale
             if not ends[j] - slack <= theta <= ends[j + 1] + slack:
                 raise NoConvergence(
                     f"eigenpair {j}: Rayleigh quotient {theta:.6e} outside its "
                     f"bracket [{ends[j]:.6e}, {ends[j + 1]:.6e}] widened by {slack:.3e}")
         pairs.append(EigenPair(theta, v, res))
+    return pairs, sigma
+
+
+def _certified_near(t: SymTridiag, near: np.ndarray, tol: float) -> list[EigenPair] | None:
+    """The k lowest pairs of an acyclic t found from shifts below near, or None.
+
+    Each pair's interval [theta_j - r_j, theta_j + r_j], r_j its residual
+    plus 64 eps * scale, holds an eigenvalue (the residual bound; Parlett,
+    The Symmetric Eigenvalue Problem).  The pairs are accepted only when
+    these intervals are ascending and disjoint, every shift lies below its
+    interval (so dpttrf factored the ground shift), and one Sturm count puts
+    exactly k eigenvalues below the top one's upper end: then the intervals
+    hold the k lowest eigenvalues, one each.  A seeded sweep that does not
+    converge returns None too.
+    """
+    try:
+        pairs, sigma = _pairs_near(t, near, tol)
+    except (NoConvergence, SingularShift):
+        return None
+    theta = np.array([p.value for p in pairs])
+    r = np.array([p.residual for p in pairs]) + _SLACK * t.scale
+    if (np.all(theta[1:] - r[1:] > theta[:-1] + r[:-1])
+            and np.all(sigma < theta - r)
+            and _sturm_below(t.diag, t.offdiag, theta[-1] + r[-1]) == len(near)):
+        return pairs
+    return None
+
+
+def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11,
+                near: np.ndarray | None = None) -> list[EigenPair]:
+    """k smallest eigenpairs, ascending; deterministic, residual <= tol * scale.
+
+    Each value is the Rayleigh quotient of its inverse-iteration vector.  The
+    shifts come from near, k predicted values of an acyclic t, when given:
+    the pairs found from them are returned only with their certificate
+    (`_certified_near`), which costs one Sturm count instead of the dstebz
+    bisection of k values.  Without near, or when the certificate fails or
+    the seeded iteration does not converge, the shifts come from the
+    bisected values (acyclic) or the located ones (cyclic, `_pairs_near`
+    checks each against its bracket), so every pair returned is certified.
+    """
+    if not (tol > 0 and np.isfinite(tol)):
+        raise DegenerateInput(f"tol must be a positive finite number, got {tol}")
+    if near is not None:
+        if t.corner is not None:
+            raise DegenerateInput("near seeds only an acyclic matrix")
+        _check_k(t, k)
+        near = np.asarray(near, dtype=float)
+        if near.shape != (k,) or not np.all(np.isfinite(near)):
+            raise DegenerateInput(f"near must hold {k} finite values, got {near}")
+        pairs = _certified_near(t, near, tol)
+        if pairs is not None:
+            return pairs
+    lam, ends = _locate(t, k)
+    pairs = _pairs_near(t, lam, tol, ends)[0]
     pairs.sort(key=lambda p: p.value)
     return pairs

@@ -11,7 +11,10 @@ Two families on the line:
 
 Discretization is 3-point finite differences with Dirichlet cutoff on a
 symmetric interval; reported spectra are Richardson-extrapolated over a
-grid-doubling ladder, which removes the leading h^2 error.
+grid-doubling ladder, which removes the leading h^2 error.  Only the first
+two grids of a ladder bisect their eigenvalues; each later one is seeded
+with the values the two below it predict, and the seeded pairs are kept
+only when certified (`eigensolve.eigs_lowest`).
 """
 
 from __future__ import annotations
@@ -123,10 +126,10 @@ def _check_boundary_mass(vectors: np.ndarray, n: int):
                 f"eigenvector {j} has boundary mass {mass:.2e}; enlarge L")
 
 
-def _solve_grid(m: Model1D, L: float, n: int, k: int,
-                tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _solve_grid(m: Model1D, L: float, n: int, k: int, tol: float,
+                near: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     t = discretize(m, L, n)
-    pairs = eigensolve.eigs_lowest(t, k, tol=min(tol, 1e-11))
+    pairs = eigensolve.eigs_lowest(t, k, tol=min(tol, 1e-11), near=near)
     vals = np.array([p.value for p in pairs])
     vecs = np.column_stack([p.vector for p in pairs])
     _check_boundary_mass(vecs, n)
@@ -144,22 +147,28 @@ def spectrum(m: Model1D, k: int, tol: float = 1e-8, L: float | None = None,
              n0: int = 1024) -> Spectrum1D:
     """k lowest levels, grid-refined until successive extrapolations agree.
 
-    Each refinement step Richardson-extrapolates the (n, 2n) pair; the ladder
-    stops when two successive extrapolated value sets agree to tol relative to
-    max(|level|, natural spacing) -- the floor keeps exact-zero levels from
-    demanding unreachable relative accuracy.  The eigenvectors returned are
-    those of the final grid, unextrapolated.
+    Each refinement step Richardson-extrapolates the (n, 2n+1) pair, whose
+    mesh widths are h and h/2; the ladder stops when two successive
+    extrapolated value sets agree to tol relative to max(|level|, natural
+    spacing) -- the floor keeps exact-zero levels from demanding unreachable
+    relative accuracy.  From the third grid on, the eigensolve is seeded
+    with the value the two grids below predict, extrap + (vals_2n - extrap)
+    / 4 (the h^2 error quarters), and bisects only where the seeded pairs
+    fail their certificate (`eigensolve.eigs_lowest`).  The eigenvectors
+    returned are those of the final grid, unextrapolated.
     """
     if k < 1:
         raise DegenerateInput("k must be at least 1")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise DegenerateInput(f"tol must be a positive finite number, got {tol}")
     if L is None:
         L = auto_domain(m, k)
     n = n0
-    prev_extrap = None
+    prev_extrap = near = None
     vals_n, _ = _solve_grid(m, L, n, k, tol)
     floor = _spectral_unit(m)
     while True:
-        vals_2n, vecs = _solve_grid(m, L, 2 * n + 1, k, tol)
+        vals_2n, vecs = _solve_grid(m, L, 2 * n + 1, k, tol, near)
         extrap = (4.0 * vals_2n - vals_n) / 3.0
         if prev_extrap is not None:
             rel = np.max(np.abs(extrap - prev_extrap)
@@ -167,6 +176,7 @@ def spectrum(m: Model1D, k: int, tol: float = 1e-8, L: float | None = None,
             if rel <= tol:
                 return Spectrum1D(m, L, 2 * n + 1, extrap, vecs)
         prev_extrap = extrap
+        near = extrap + (vals_2n - extrap) / 4.0
         vals_n = vals_2n
         n = 2 * n + 1
         if n > REFINE_CAP:

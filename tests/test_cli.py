@@ -21,16 +21,17 @@ def run(args):
 
 def test_cold_start_loads_no_optional_scipy():
     """Start-up imports only what every command runs: LAPACK without the scipy
-    package and no thread pool (only a --workers sweep starts one); a moved
-    zero loads brentq itself, and the scipy.linalg it brings reuses the LAPACK
-    module already loaded."""
+    package, no thread pool (only a --workers sweep starts one) and no
+    local_model (only `local` reads it); a moved zero loads brentq itself, and
+    the scipy.linalg it brings reuses the LAPACK module already loaded."""
     code = (
         "import sys\n"
         "import wittenlab.cli\n"
         "from wittenlab import circle_lab, constants, eigensolve\n"
         "constants.load_constants()\n"
         "print([m for m in ('scipy', 'scipy.linalg', 'scipy.optimize', 'scipy.sparse',"
-        " 'scipy.special', 'concurrent.futures', 'logging') if m in sys.modules])\n"
+        " 'scipy.special', 'concurrent.futures', 'logging', 'wittenlab.local_model')"
+        " if m in sys.modules])\n"
         "circle_lab.example_function('B')\n"
         "import scipy.linalg.lapack\n"
         "print('scipy.optimize' in sys.modules,"
@@ -122,6 +123,13 @@ def test_osc1d_command(tmp_path):
     assert len(rows) == 4
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["passed"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_osc1d_rejects_a_tol_that_is_not_positive_and_finite(tmp_path, capsys, tol):
+    assert run(["osc1d", "--a", "1", "--t", "8", f"--tol={tol}",
+                "--outdir", str(tmp_path)]) == cli.EXIT_INPUT
+    assert "tol must be a positive finite number" in capsys.readouterr().err
 
 
 def test_scaling_command(tmp_path):

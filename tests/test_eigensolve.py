@@ -446,3 +446,99 @@ def test_rayleigh_quotient_accurate_for_a_small_witten_value(example_b):
            + 2 * Fraction(t.corner) * v[0] * v[-1])
     exact = num / sum(x * x for x in v)
     assert abs(Fraction(pair.value) - exact) <= 1e-13 * exact
+
+
+# -- the seeded acyclic route -------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ladder_grids():
+    """The grids of the `osc1d --a 1 --t 8 --k 5 --tol 1e-9` ladder, unseeded."""
+    from wittenlab import oscillator1d as osc
+    model = osc.Anharmonic(1.0, 8.0, -1)
+    L = osc.auto_domain(model, 5)
+    grids = []
+    for n in (1024, 2049, 4099, 8199, 16399):
+        t = osc.discretize(model, L, n)
+        grids.append((t, es.eigs_lowest(t, 5, tol=1e-11)))
+    return grids
+
+
+def _spy_bisection(monkeypatch):
+    calls = []
+    bisect = es._lowest_acyclic
+
+    def spy(diag, off, k):
+        calls.append(len(diag))
+        return bisect(diag, off, k)
+
+    monkeypatch.setattr(es, "_lowest_acyclic", spy)
+    return calls
+
+
+def test_seeded_route_matches_bisection_on_the_ladder(ladder_grids, monkeypatch):
+    """Grids 3-5 seeded from the two grids below, as oscillator1d.spectrum does."""
+    calls = _spy_bisection(monkeypatch)
+    vals = [np.array([p.value for p in pairs]) for _, pairs in ladder_grids]
+    for g in (2, 3, 4):
+        extrap = (4.0 * vals[g - 1] - vals[g - 2]) / 3.0
+        near = extrap + (vals[g - 1] - extrap) / 4.0
+        t, ref = ladder_grids[g]
+        seeded = es.eigs_lowest(t, 5, tol=1e-11, near=near)
+        for p, q in zip(seeded, ref):
+            assert abs(p.value - q.value) <= 1e-12 * t.scale
+            assert abs(np.dot(p.vector, q.vector)) >= 1.0 - 1e-12
+            assert p.residual <= 1e-11 * t.scale
+        assert np.all(seeded[0].vector > 0.0)
+    assert calls == []      # every certificate held: no grid was bisected
+
+
+@pytest.mark.parametrize("case", ["one level off", "all equal", "above lambda_0"])
+def test_seeds_that_fail_the_certificate_fall_back_to_bisection(ladder_grids, case,
+                                                                monkeypatch):
+    t, _ = ladder_grids[2]
+    lam = es.eigvals_lowest(t, 6)
+    near = {"one level off": lam[1:],                   # fails the Sturm count
+            "all equal": np.full(5, lam[0]),            # does not converge
+            "above lambda_0": lam[:5] + 2e-9 * t.scale, # shifts above their pairs
+            }[case]
+    ref = es.eigs_lowest(t, 5)
+    calls = _spy_bisection(monkeypatch)
+    got = es.eigs_lowest(t, 5, near=near)
+    assert calls == [t.n]
+    for p, q in zip(got, ref):
+        assert p.value == q.value
+        assert p.residual == q.residual
+        assert np.array_equal(p.vector, q.vector)
+
+
+def test_overlapping_intervals_fall_back_to_bisection(monkeypatch):
+    # two values 4e-16 apart: their residual intervals overlap, so the seeded
+    # pairs cannot be told apart by one count above them
+    t = tridiag([1.0, 1.0 + 4e-16, 3.0, 5.0], [0.0, 0.0, 0.0])
+    assert es._certified_near(t, np.array([1.0, 1.0, 3.0]), 1e-11) is None
+    ref = es.eigs_lowest(t, 3)
+    calls = _spy_bisection(monkeypatch)
+    got = es.eigs_lowest(t, 3, near=[1.0, 1.0, 3.0])
+    assert calls == [4]
+    assert [p.value for p in got] == [p.value for p in ref]
+
+
+def test_seeded_route_input_checks():
+    rng = np.random.default_rng(23)
+    acyclic = random_tridiag(rng, 20, cyclic=False)
+    cyclic = random_tridiag(rng, 20, cyclic=True)
+    near = es.eigvals_lowest(acyclic, 3)
+    for bad in ([near[0], np.nan, near[2]], [near[0], near[1], np.inf], near[:2],
+                np.append(near, 9.0)):
+        with pytest.raises(DegenerateInput, match="near"):
+            es.eigs_lowest(acyclic, 3, near=bad)
+    with pytest.raises(DegenerateInput, match="acyclic"):
+        es.eigs_lowest(cyclic, 3, near=es.eigvals_lowest(cyclic, 3))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-11])
+def test_tol_must_be_positive_and_finite(tol):
+    rng = np.random.default_rng(29)
+    for cyclic in (False, True):
+        with pytest.raises(DegenerateInput, match="tol"):
+            es.eigs_lowest(random_tridiag(rng, 12, cyclic), 2, tol=tol)

@@ -135,3 +135,25 @@ def test_anharmonic_positivity_invariant():
     with pytest.raises(PositivityViolation):
         osc.Spectrum1D(osc.Anharmonic(1.0, 1.0, -1), 8.0, 255,
                        np.array([-1.0, 2.0]))
+
+
+def test_model_ladder_bisects_only_its_first_two_grids(tmp_path, monkeypatch):
+    # the `osc1d --a 1 --t 8 --k 5 --tol 1e-9` ladder: grids 3-5 are seeded
+    # from the two below them and pass their certificate
+    from wittenlab import cli
+    bisected, grids = [], []
+    bisect, discretize = eigensolve._lowest_acyclic, osc.discretize
+    monkeypatch.setattr(eigensolve, "_lowest_acyclic",
+                        lambda d, o, k: bisected.append(len(d)) or bisect(d, o, k))
+    monkeypatch.setattr(osc, "discretize",
+                        lambda m, L, n: grids.append(n) or discretize(m, L, n))
+    assert cli.main(["osc1d", "--a", "1", "--t", "8", "--k", "5", "--tol", "1e-9",
+                     "--outdir", str(tmp_path), "--assert"]) == 0
+    assert grids == [1024, 2049, 4099, 8199, 16399]
+    assert bisected == [1024, 2049]
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_spectrum_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    with pytest.raises(DegenerateInput, match="tol"):
+        osc.spectrum(osc.Anharmonic(1.0, 1.0, -1), 2, tol=tol)
