@@ -16,7 +16,13 @@ Everything spectral about one deformation strength is read off one
 `CircleSolve`: the matrices of both degrees on one grid and the lowest
 eigenpairs of each, built once by `circle_solve(cf, t, n_grid, k_eigs)`, the
 only code that assembles or eigensolves a Witten matrix; k_eigs defaults to
-the most pairs that a degree reads (`pairs_needed`).  Callers (the CLI, the
+the most pairs that a degree reads (`pairs_needed`).  Only the first
+eigensolve is unseeded.  Delta1 = D D^T has the spectrum of Delta0 = D^T D
+(D is square), so Delta0's values seed it; the Richardson partner on twice
+the grid (`doubled`) seeds its Delta0 with grid n's values and its Delta1
+with its own Delta0's.  Each seeded solve keeps its pairs only on a
+certificate of one inertia count, and otherwise solves unseeded
+(`eigensolve.eigs_lowest`).  Callers (the CLI, the
 tests) build the solves and pass them down: `spectral_clusters` certifies the
 counts on a solve's grid and, given a second solve of the same function and t
 on twice the grid, reports Richardson-extrapolated values (4 E_2n - E_n) / 3;
@@ -415,11 +421,14 @@ class CircleSolve:
     """The Witten Laplacians of one circle function at one (t, grid), solved.
 
     Holds the assembled matrices of both degrees and the k_eigs lowest
-    eigenpairs of each degree, every degree solved on its own.  Built only by
-    `circle_solve`, the one place that assembles or eigensolves a Witten
-    matrix; the cluster reports, bases, pairings and chain maps are all read
-    off a solve.  A Richardson-extrapolated report pairs the solve of grid n
-    with a second solve of the same function and t on grid 2n.
+    eigenpairs of each degree.  D is square (n nodes to n midpoints), so
+    Delta0 = D^T D and Delta1 = D D^T share their whole spectrum: Delta0 is
+    solved first and its values seed Delta1.  Built only by `circle_solve`,
+    the one place that assembles or eigensolves a Witten matrix; the cluster
+    reports, bases, pairings and chain maps are all read off a solve.  A
+    Richardson-extrapolated report pairs the solve of grid n with a second
+    solve of the same function and t on grid 2n (`doubled`), whose Delta0 is
+    seeded with grid n's values.
     """
     cf: CircleFunction
     k_eigs: int
@@ -448,16 +457,34 @@ def pairs_needed(cf: CircleFunction, degree: int) -> int:
 
 
 def circle_solve(cf: CircleFunction, t: float, n_grid: int | None = None,
-                 k_eigs: int | None = None) -> CircleSolve:
-    """Assemble Delta0 and Delta1 once and solve each for its k_eigs lowest pairs."""
+                 k_eigs: int | None = None,
+                 coarse: CircleSolve | None = None) -> CircleSolve:
+    """Assemble Delta0 and Delta1 once and solve each for its k_eigs lowest pairs.
+
+    Delta1 is seeded with Delta0's values, its supersymmetric partner's
+    spectrum.  coarse, a solve of the same function, t and k_eigs on a
+    coarser grid, seeds Delta0 with its degree-0 values.  A seeded solve
+    returns only certified pairs, or else solves as if unseeded
+    (`eigensolve.eigs_lowest`).
+    """
     if n_grid is None:
         n_grid = default_n_grid(cf, t)
     if k_eigs is None:
         k_eigs = max(pairs_needed(cf, degree) for degree in (0, 1))
+    if coarse is not None and (coarse.cf != cf or coarse.t != t or coarse.k_eigs != k_eigs):
+        raise DegenerateInput("a coarse seed must solve the same function, t and k_eigs")
     w = assemble_witten(cf, t, n_grid)
-    pairs = tuple(eigensolve.eigs_lowest(mat, k_eigs, tol=EIG_TOL)
-                  for mat in (w.delta0, w.delta1))
-    return CircleSolve(cf, k_eigs, w, pairs)
+    near = None if coarse is None else coarse.values(0)
+    pairs0 = eigensolve.eigs_lowest(w.delta0, k_eigs, tol=EIG_TOL, near=near)
+    pairs1 = eigensolve.eigs_lowest(w.delta1, k_eigs, tol=EIG_TOL,
+                                    near=[p.value for p in pairs0])
+    return CircleSolve(cf, k_eigs, w, (pairs0, pairs1))
+
+
+def doubled(solve: CircleSolve) -> CircleSolve:
+    """The Richardson partner of a solve: the same function, t and k_eigs on
+    twice its grid, seeded from it."""
+    return circle_solve(solve.cf, solve.t, 2 * solve.n_grid, solve.k_eigs, coarse=solve)
 
 
 # -- clusters -------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Acyclic matrices get their lowest eigenvalues from LAPACK dstebz bisection
 and their inertia counts from its Sturm counts, exact for a matrix within a
 few ulps of the input.  Given k predicted values (`near`, as a Richardson
-ladder has them from its coarser grids), an acyclic solve skips the
-bisection: inverse iteration runs from shifts just below the predictions,
-and the pairs are accepted on one Sturm count (`_certified_near`), or else
-the bisection route runs.
+ladder has them from its coarser grids, or a Witten Laplacian from its
+supersymmetric partner), a solve of either shape skips locating them:
+inverse iteration runs from shifts just below the predictions, and the
+pairs are accepted on one inertia count (`count_below`, `_certified_near`),
+or else the unseeded route runs.
 
 A cyclic matrix (periodic corner entries) is read through one cut of the
 cycle (`_Cut`): moving m consecutive indices last writes
@@ -586,27 +587,33 @@ def _pairs_near(t: SymTridiag, lam: np.ndarray, tol: float,
 
 
 def _certified_near(t: SymTridiag, near: np.ndarray, tol: float) -> list[EigenPair] | None:
-    """The k lowest pairs of an acyclic t found from shifts below near, or None.
+    """The k lowest pairs of t found from shifts below near, or None.
 
     Each pair's interval [theta_j - r_j, theta_j + r_j], r_j its residual
     plus 64 eps * scale, holds an eigenvalue (the residual bound; Parlett,
     The Symmetric Eigenvalue Problem).  The pairs are accepted only when
     these intervals are ascending and disjoint, every shift lies below its
-    interval (so dpttrf factored the ground shift), and one Sturm count puts
-    exactly k eigenvalues below the top one's upper end: then the intervals
-    hold the k lowest eigenvalues, one each.  A seeded sweep that does not
-    converge returns None too.
+    interval (so the ground shift was factored below the spectrum), and one
+    inertia count (`count_below`: Sturm for an acyclic t, the cut's
+    Haynsworth count for a cyclic one) puts exactly k eigenvalues below the
+    top one's upper end: then the intervals hold the k lowest eigenvalues,
+    one each.  A seeded sweep that does not converge, or a count that
+    raises, returns None too, and so do seeds that do not ascend by more
+    than eps * scale, without a sweep: they predict a double value (a free
+    circle mode's, say), which no two disjoint intervals can hold.
     """
+    if np.any(np.diff(near) <= np.finfo(float).eps * t.scale):
+        return None
     try:
         pairs, sigma = _pairs_near(t, near, tol)
+        theta = np.array([p.value for p in pairs])
+        r = np.array([p.residual for p in pairs]) + _SLACK * t.scale
+        if (np.all(theta[1:] - r[1:] > theta[:-1] + r[:-1])
+                and np.all(sigma < theta - r)
+                and count_below(t, theta[-1] + r[-1]) == len(near)):
+            return pairs
     except (NoConvergence, SingularShift):
-        return None
-    theta = np.array([p.value for p in pairs])
-    r = np.array([p.residual for p in pairs]) + _SLACK * t.scale
-    if (np.all(theta[1:] - r[1:] > theta[:-1] + r[:-1])
-            and np.all(sigma < theta - r)
-            and _sturm_below(t.diag, t.offdiag, theta[-1] + r[-1]) == len(near)):
-        return pairs
+        pass
     return None
 
 
@@ -615,19 +622,18 @@ def eigs_lowest(t: SymTridiag, k: int, tol: float = 1e-11,
     """k smallest eigenpairs, ascending; deterministic, residual <= tol * scale.
 
     Each value is the Rayleigh quotient of its inverse-iteration vector.  The
-    shifts come from near, k predicted values of an acyclic t, when given:
-    the pairs found from them are returned only with their certificate
-    (`_certified_near`), which costs one Sturm count instead of the dstebz
-    bisection of k values.  Without near, or when the certificate fails or
-    the seeded iteration does not converge, the shifts come from the
-    bisected values (acyclic) or the located ones (cyclic, `_pairs_near`
-    checks each against its bracket), so every pair returned is certified.
+    shifts come from near, k predicted values of t (acyclic or cyclic), when
+    given: the pairs found from them are returned only with their
+    certificate (`_certified_near`), which costs one inertia count
+    (`count_below`) instead of locating k values.  Without near, or when the
+    certificate fails, its count raises, or the seeded iteration does not
+    converge, the shifts come from the bisected values (acyclic) or the
+    located ones (cyclic, `_pairs_near` checks each against its bracket), so
+    every pair returned is certified.
     """
     if not (tol > 0 and np.isfinite(tol)):
         raise DegenerateInput(f"tol must be a positive finite number, got {tol}")
     if near is not None:
-        if t.corner is not None:
-            raise DegenerateInput("near seeds only an acyclic matrix")
         _check_k(t, k)
         near = np.asarray(near, dtype=float)
         if near.shape != (k,) or not np.all(np.isfinite(near)):

@@ -28,6 +28,12 @@ from .eigensolve import SymTridiag
 from .errors import DegenerateInput, DomainTooSmall, NoConvergence, PositivityViolation
 
 REFINE_CAP = 2 ** 20
+# Least tol of a ladder.  Each grid's pairs are asked for a residual of
+# min(tol, 1e-11) * scale.  On the ladder grids n = 1024 .. 524799 of
+# anharmonic and harmonic models (k = 3 and 5), inverse iteration reached
+# 1e-15 * scale on every grid (1.3e-16 * scale at worst) and missed
+# 1e-16 * scale on some; the floor keeps a decade of room above that.
+TOL_FLOOR = 1e-14
 _BOUNDARY_MASS_TOL = 1e-8
 
 
@@ -151,16 +157,21 @@ def spectrum(m: Model1D, k: int, tol: float = 1e-8, L: float | None = None,
     mesh widths are h and h/2; the ladder stops when two successive
     extrapolated value sets agree to tol relative to max(|level|, natural
     spacing) -- the floor keeps exact-zero levels from demanding unreachable
-    relative accuracy.  From the third grid on, the eigensolve is seeded
-    with the value the two grids below predict, extrap + (vals_2n - extrap)
-    / 4 (the h^2 error quarters), and bisects only where the seeded pairs
-    fail their certificate (`eigensolve.eigs_lowest`).  The eigenvectors
-    returned are those of the final grid, unextrapolated.
+    relative accuracy.  tol must be at least TOL_FLOOR, and each grid's
+    pairs have a residual of at most min(tol, 1e-11) * scale.  From the
+    third grid on, the eigensolve is seeded with the value the two grids
+    below predict, extrap + (vals_2n - extrap) / 4 (the h^2 error quarters),
+    and bisects only where the seeded pairs fail their certificate
+    (`eigensolve.eigs_lowest`).  The eigenvectors returned are those of the
+    final grid, unextrapolated.
     """
     if k < 1:
         raise DegenerateInput("k must be at least 1")
     if not (tol > 0 and np.isfinite(tol)):
         raise DegenerateInput(f"tol must be a positive finite number, got {tol}")
+    if tol < TOL_FLOOR:
+        raise DegenerateInput(f"tol {tol:.3g} is below the ladder's floor {TOL_FLOOR:g}, "
+                              "the least residual bound its eigensolves surely reach")
     if L is None:
         L = auto_domain(m, k)
     n = n0

@@ -60,8 +60,7 @@ def a_solves(example_a, a_sweep):
 @pytest.fixture(scope="session")
 def a_solves_doubled(example_a, a_solves):
     """Example A on twice the default grid: the Richardson partners."""
-    return {t: circle_lab.circle_solve(example_a, t, 2 * s.n_grid, 13)
-            for t, s in a_solves.items()}
+    return {t: circle_lab.doubled(s) for t, s in a_solves.items()}
 
 
 @pytest.fixture(scope="session")

@@ -176,8 +176,7 @@ def test_spectral_clusters_counts_and_pairing(a_solves, a_solves_doubled):
 
 def test_spectral_clusters_morse(example_morse):
     solve = cl.circle_solve(example_morse, 150.0)
-    doubled = cl.circle_solve(example_morse, 150.0, 2 * solve.n_grid)
-    reports = cl.spectral_clusters(solve, doubled)
+    reports = cl.spectral_clusters(solve, cl.doubled(solve))
     assert reports[0].large == {} and reports[0].very_large_floor is None
     assert reports[0].counts["small"] == 1
     # smallest nonzero eigenvalue scales like t (positive limit)
@@ -198,7 +197,7 @@ def test_grid_doubling_stability(example_a, a_solves, a_solves_doubled):
     t = 100.0
     s4096, s8192 = a_solves[t], a_solves_doubled[t]
     assert (s4096.n_grid, s8192.n_grid) == (4096, 8192)
-    s16384 = cl.circle_solve(example_a, t, 16384, 13)   # k_eigs of its partner
+    s16384 = cl.doubled(s8192)
     r1 = cl.spectral_clusters(s4096, s8192)
     r2 = cl.spectral_clusters(s8192, s16384)
     for degree in (0, 1):
@@ -344,10 +343,10 @@ def test_one_assembly_per_grid_and_one_eigensolve_per_degree(example_a,
         assembled.append((t, n_grid))
         return real_assemble(cf, t, n_grid)
 
-    def eigs_lowest(t, k, tol=1e-11):
+    def eigs_lowest(t, k, tol=1e-11, near=None):
         if t.corner is not None:           # the Witten matrices are cyclic
-            solved.append((t.n, id(t)))
-        return real_eigs(t, k, tol=tol)
+            solved.append((t.n, id(t), near is None))
+        return real_eigs(t, k, tol=tol, near=near)
 
     monkeypatch.setattr(cl, "assemble_witten", assemble)
     monkeypatch.setattr(eigensolve, "eigs_lowest", eigs_lowest)
@@ -355,17 +354,45 @@ def test_one_assembly_per_grid_and_one_eigensolve_per_degree(example_a,
     # coarse grids keep this cheap; the call pattern does not depend on n
     t, n = 200.0, 1024
     solve = cl.circle_solve(example_a, t, n)
-    doubled = cl.circle_solve(example_a, t, 2 * n)
+    doubled = cl.doubled(solve)
     cl.spectral_clusters(solve, doubled)
     assert assembled == [(t, n), (t, 2 * n)]
-    assert sorted(size for size, _ in solved) == [n, n, 2 * n, 2 * n]
+    assert sorted(size for size, _, _ in solved) == [n, n, 2 * n, 2 * n]
     assert len(set(solved)) == 4                # one solve per (degree, grid)
+    # only the first solve, degree 0 on grid n, is unseeded
+    assert [unseeded for _, _, unseeded in solved] == [True, False, False, False]
+    assert solved[0][:2] == (n, id(solve.w.delta0))
 
     assembled.clear()
     solved.clear()
     wc.f_star(cl.circle_solve(example_a, 100.0, n))
     assert assembled == [(100.0, n)]
     assert len(solved) == len(set(solved)) == 2
+
+
+def test_only_the_first_solve_of_a_richardson_pair_locates(example_a, monkeypatch):
+    # A at t = 200, the `clusters` benchmark's solve: every seeded solve is
+    # certified, so a silent fallback to locating would show here
+    located = []
+    locate = eigensolve._locate
+    monkeypatch.setattr(eigensolve, "_locate",
+                        lambda t, k: located.append(t.n) or locate(t, k))
+    solve = cl.circle_solve(example_a, 200.0)
+    doubled = cl.doubled(solve)
+    assert located == [solve.n_grid]
+    assert doubled.n_grid == 2 * solve.n_grid and doubled.k_eigs == solve.k_eigs
+    for s in (solve, doubled):
+        gap = np.abs(s.values(0) - s.values(1))
+        slack = 2.0 * (cl.EIG_TOL + 64.0 * np.finfo(float).eps) * s.matrix(0).scale
+        assert np.all(gap <= slack)          # Delta0 and Delta1 share their spectrum
+
+
+def test_a_coarse_seed_must_solve_the_same_problem(example_a, example_b):
+    coarse = cl.circle_solve(example_a, 50.0, 512)
+    for cf, t, k in ((example_b, 50.0, coarse.k_eigs), (example_a, 60.0, coarse.k_eigs),
+                     (example_a, 50.0, coarse.k_eigs + 1)):
+        with pytest.raises(DegenerateInput, match="coarse seed"):
+            cl.circle_solve(cf, t, 1024, k, coarse=coarse)
 
 
 def test_spectral_clusters_counts_each_window_edge_once(a_solves, monkeypatch):

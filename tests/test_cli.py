@@ -132,6 +132,23 @@ def test_osc1d_rejects_a_tol_that_is_not_positive_and_finite(tmp_path, capsys, t
     assert "tol must be a positive finite number" in capsys.readouterr().err
 
 
+def test_osc1d_fails_on_levels_the_table_does_not_hold(tmp_path, capsys):
+    held = len(constants.load_constants()["e"])
+    code = run(["osc1d", "--a", "1", "--t", "8", "--k", str(held + 2),
+                "--outdir", str(tmp_path), "--assert"])
+    assert code == cli.EXIT_ASSERT
+    (check,) = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert not check["ok"]
+    assert f"levels {held + 1}, {held + 2} unchecked" in check["detail"]
+    assert "[FAIL] levels match cached table" in capsys.readouterr().out
+
+
+def test_osc1d_rejects_a_tol_below_the_ladder_floor(tmp_path, capsys):
+    assert run(["osc1d", "--a", "1", "--t", "8", "--k", "3", "--tol", "1e-20",
+                "--outdir", str(tmp_path)]) == cli.EXIT_INPUT
+    assert "below the ladder's floor" in capsys.readouterr().err
+
+
 def test_scaling_command(tmp_path):
     assert run(["scaling", "--t-list", "8,27", "--k", "3",
                 "--outdir", str(tmp_path), "--assert"]) == 0
@@ -173,7 +190,8 @@ def test_circle_fit_honours_lenient_floor(tmp_path, monkeypatch, lenient):
     # stub the solves: only the floor flag handed to spectral_clusters matters
     floors = []
     monkeypatch.setattr(circle_lab, "circle_solve",
-                        lambda cf, t, n_grid=None, k_eigs=None: SimpleNamespace(n_grid=64))
+                        lambda cf, t, n_grid=None, k_eigs=None, coarse=None:
+                        SimpleNamespace(cf=cf, t=t, n_grid=64, k_eigs=k_eigs))
     monkeypatch.setattr(circle_lab, "spectral_clusters",
                         lambda *a, strict_floor=True, **kw: floors.append(strict_floor))
     monkeypatch.setattr(circle_lab, "scaling_fit", lambda reports: {"per_bd": {}})

@@ -523,17 +523,115 @@ def test_overlapping_intervals_fall_back_to_bisection(monkeypatch):
     assert [p.value for p in got] == [p.value for p in ref]
 
 
+# -- the seeded cyclic route ----------------------------------------------------
+
+def _spy_locate(monkeypatch):
+    calls = []
+    locate = es._locate
+
+    def spy(t, k):
+        calls.append(t.n)
+        return locate(t, k)
+
+    monkeypatch.setattr(es, "_locate", spy)
+    return calls
+
+
+def assert_same_pairs(got, ref):
+    for p, q in zip(got, ref, strict=True):
+        assert p.value == q.value
+        assert p.residual == q.residual
+        assert np.array_equal(p.vector, q.vector)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "two_bd"])
+def test_seeded_cyclic_route_matches_the_unseeded_one(name, example_a, example_b,
+                                                      example_two_bd, monkeypatch):
+    """Witten matrices seeded as circle_lab seeds them: Delta1 with Delta0's
+    values on its grid, Delta0 on grid 2n with Delta0's values on grid n."""
+    cf = {"A": example_a, "B": example_b, "two_bd": example_two_bd}[name]
+    k = max(circle_lab.pairs_needed(cf, degree) for degree in (0, 1))
+    t, n = 50.0, 1024
+    w, w2 = circle_lab.assemble_witten(cf, t, n), circle_lab.assemble_witten(cf, t, 2 * n)
+    values = {id(m): [p.value for p in es.eigs_lowest(m, k, circle_lab.EIG_TOL)]
+              for m in (w.delta0, w2.delta0)}
+    calls = _spy_locate(monkeypatch)
+    for mat, seed in ((w.delta1, w.delta0), (w2.delta0, w.delta0), (w2.delta1, w2.delta0)):
+        ref = es.eigs_lowest(mat, k, circle_lab.EIG_TOL)
+        calls.clear()
+        got = es.eigs_lowest(mat, k, circle_lab.EIG_TOL, near=values[id(seed)])
+        assert calls == []                  # the certificate held
+        for p, q in zip(got, ref, strict=True):
+            slack = 2.0 * es._SLACK * mat.scale
+            assert abs(p.value - q.value) <= p.residual + q.residual + slack
+            assert abs(np.dot(p.vector, q.vector)) >= 1.0 - 1e-10
+            assert p.residual <= circle_lab.EIG_TOL * mat.scale
+
+
+def test_cyclic_seeds_one_level_off_fall_back(monkeypatch):
+    rng = np.random.default_rng(97)
+    t = random_tridiag(rng, 40, cyclic=True)
+    lam = es.eigvals_lowest(t, 6)
+    ref = es.eigs_lowest(t, 5)
+    calls = _spy_locate(monkeypatch)
+    assert_same_pairs(es.eigs_lowest(t, 5, near=lam[1:]), ref)     # fails the count
+    assert calls == [t.n]
+
+
+def test_overlapping_cyclic_intervals_fall_back(example_b, monkeypatch):
+    # B at t = 81: its small pair is noise-level on grid 2n, and the residual
+    # intervals of the pair seeded from grid n overlap
+    n = circle_lab.default_n_grid(example_b, 81.0)
+    coarse = circle_lab.assemble_witten(example_b, 81.0, n).delta0
+    mat = circle_lab.assemble_witten(example_b, 81.0, 2 * n).delta0
+    k = circle_lab.pairs_needed(example_b, 0)
+    near = es.eigvals_lowest(coarse, k)
+    ref = es.eigs_lowest(mat, k, circle_lab.EIG_TOL)
+    assert es._certified_near(mat, near, circle_lab.EIG_TOL) is None
+    calls = _spy_locate(monkeypatch)
+    assert_same_pairs(es.eigs_lowest(mat, k, circle_lab.EIG_TOL, near=near), ref)
+    assert calls == [mat.n]
+
+
+def test_a_count_that_raises_inside_the_certificate_falls_back(monkeypatch):
+    rng = np.random.default_rng(101)
+    t = random_tridiag(rng, 40, cyclic=True)
+    near = es.eigvals_lowest(t, 4)
+    ref = es.eigs_lowest(t, 4)
+    assert es._certified_near(t, near, 1e-11) is not None     # holds unpatched
+
+    def singular(t, lam):
+        raise SingularShift("every cut singular")
+
+    monkeypatch.setattr(es, "count_below", singular)
+    calls = _spy_locate(monkeypatch)
+    assert_same_pairs(es.eigs_lowest(t, 4, near=near), ref)
+    assert calls == [t.n]
+
+
+def test_double_seeds_fall_back_without_a_sweep(monkeypatch):
+    # the periodic Laplacian's values above the lowest are exactly double
+    n = 64
+    t = tridiag(np.full(n, 2.0), np.full(n - 1, -1.0), -1.0)
+    near = es.eigvals_lowest(t, 3)
+    ref = es.eigs_lowest(t, 3)
+    swept = []
+    pairs_near = es._pairs_near
+    monkeypatch.setattr(es, "_pairs_near",
+                        lambda t, lam, tol, ends=None: swept.append(ends is None)
+                        or pairs_near(t, lam, tol, ends))
+    assert_same_pairs(es.eigs_lowest(t, 3, near=near), ref)
+    assert swept == [False]             # only the unseeded route's sweep ran
+
+
 def test_seeded_route_input_checks():
     rng = np.random.default_rng(23)
     acyclic = random_tridiag(rng, 20, cyclic=False)
-    cyclic = random_tridiag(rng, 20, cyclic=True)
     near = es.eigvals_lowest(acyclic, 3)
     for bad in ([near[0], np.nan, near[2]], [near[0], near[1], np.inf], near[:2],
                 np.append(near, 9.0)):
         with pytest.raises(DegenerateInput, match="near"):
             es.eigs_lowest(acyclic, 3, near=bad)
-    with pytest.raises(DegenerateInput, match="acyclic"):
-        es.eigs_lowest(cyclic, 3, near=es.eigvals_lowest(cyclic, 3))
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-11])

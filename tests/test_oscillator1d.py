@@ -157,3 +157,32 @@ def test_model_ladder_bisects_only_its_first_two_grids(tmp_path, monkeypatch):
 def test_spectrum_rejects_a_tol_that_is_not_positive_and_finite(tol):
     with pytest.raises(DegenerateInput, match="tol"):
         osc.spectrum(osc.Anharmonic(1.0, 1.0, -1), 2, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-20])
+def test_spectrum_rejects_a_tol_below_its_floor(tol):
+    with pytest.raises(DegenerateInput, match="floor"):
+        osc.spectrum(osc.Anharmonic(1.0, 8.0, -1), 3, tol=tol)
+
+
+def test_the_tol_floor_is_a_residual_the_ladder_grids_reach():
+    model = osc.Anharmonic(1.0, 8.0, -1)
+    L = osc.auto_domain(model, 5)
+    for n in (1024, 32799):
+        t = osc.discretize(model, L, n)
+        pairs = eigensolve.eigs_lowest(t, 5, tol=osc.TOL_FLOOR)
+        assert max(p.residual for p in pairs) <= osc.TOL_FLOOR * t.scale
+
+
+def test_each_grid_is_asked_for_a_residual_of_at_most_1e_11(monkeypatch):
+    # the `model_ladder` ladder (tol 1e-9) and one at the floor
+    asked = []
+    eigs_lowest = eigensolve.eigs_lowest
+    monkeypatch.setattr(eigensolve, "eigs_lowest",
+                        lambda t, k, tol, near=None: asked.append(tol)
+                        or eigs_lowest(t, k, tol, near))
+    osc.spectrum(osc.Anharmonic(1.0, 8.0, -1), 5, tol=1e-9)
+    assert asked and set(asked) == {1e-11}
+    asked.clear()
+    osc._solve_grid(osc.Anharmonic(1.0, 8.0, -1), 2.0, 1024, 3, osc.TOL_FLOOR)
+    assert asked == [osc.TOL_FLOOR]
