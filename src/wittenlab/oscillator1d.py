@@ -10,11 +10,14 @@ Two families on the line:
   -d^2/dx^2 + 9 x^4 - 6 x.
 
 Discretization is 3-point finite differences with Dirichlet cutoff on a
-symmetric interval; reported spectra are Richardson-extrapolated over a
-grid-doubling ladder, which removes the leading h^2 error.  Only the first
-two grids of a ladder bisect their eigenvalues; each later one is seeded
-with the values the two below it predict, and the seeded pairs are kept
-only when certified (`eigensolve.eigs_lowest`).
+symmetric interval.  Reported spectra come from a grid ladder n -> 2n+1,
+whose mesh widths halve exactly, so the 3-point error expands in h^2, h^4,
+h^6, ...: Richardson extrapolation of each grid pair removes the h^2 term,
+and a second (Romberg) level over successive pairs removes the h^4 term.
+Only the first grid of a ladder bisects its eigenvalues; the second is
+seeded with the first grid's values, each later one with the values the two
+below it predict, and the seeded pairs are kept only when certified
+(`eigensolve.eigs_lowest`).
 """
 
 from __future__ import annotations
@@ -153,17 +156,26 @@ def spectrum(m: Model1D, k: int, tol: float = 1e-8, L: float | None = None,
              n0: int = 1024) -> Spectrum1D:
     """k lowest levels, grid-refined until successive extrapolations agree.
 
-    Each refinement step Richardson-extrapolates the (n, 2n+1) pair, whose
-    mesh widths are h and h/2; the ladder stops when two successive
-    extrapolated value sets agree to tol relative to max(|level|, natural
-    spacing) -- the floor keeps exact-zero levels from demanding unreachable
-    relative accuracy.  tol must be at least TOL_FLOOR, and each grid's
-    pairs have a residual of at most min(tol, 1e-11) * scale.  From the
-    third grid on, the eigensolve is seeded with the value the two grids
-    below predict, extrap + (vals_2n - extrap) / 4 (the h^2 error quarters),
-    and bisects only where the seeded pairs fail their certificate
-    (`eigensolve.eigs_lowest`).  The eigenvectors returned are those of the
-    final grid, unextrapolated.
+    The grids n -> 2n+1 halve the mesh width h exactly, and the 3-point error
+    expands in h^2, h^4, h^6, ...  Each new grid gives the Richardson value
+    E = (4 vals_2n - vals_n) / 3 of its pair, which removes the h^2 term;
+    from the third grid on, R = (16 E - E_prev) / 15 removes the h^4 term as
+    well (Romberg).  The best value available is reported, and the ladder
+    stops when two successive best values agree to tol relative to
+    max(|level|, natural spacing) -- the floor keeps exact-zero levels from
+    demanding unreachable relative accuracy.  A rung whose agreement is no
+    better than the previous rung's has met the rounding floor of the grids,
+    which grows like h^-2, so the ladder raises NoConvergence there, naming
+    the best agreement reached, instead of refining to REFINE_CAP.
+
+    tol must be at least TOL_FLOOR, and each grid's pairs have a residual of
+    at most min(tol, 1e-11) * scale.  Only the first grid bisects: the second
+    is seeded with the first grid's values, which lie below its own where the
+    3-point error is negative, as on these models; every later one with the
+    value the two grids below predict, E + (vals_2n - E) / 4 (the h^2 error
+    quarters).  A grid bisects only where the seeded pairs fail their
+    certificate (`eigensolve.eigs_lowest`).  The eigenvectors returned are
+    those of the final grid, unextrapolated.
     """
     if k < 1:
         raise DegenerateInput("k must be at least 1")
@@ -175,18 +187,28 @@ def spectrum(m: Model1D, k: int, tol: float = 1e-8, L: float | None = None,
     if L is None:
         L = auto_domain(m, k)
     n = n0
-    prev_extrap = near = None
     vals_n, _ = _solve_grid(m, L, n, k, tol)
+    near = vals_n
+    prev_extrap = prev_best = None
+    prev_rel = np.inf
     floor = _spectral_unit(m)
     while True:
         vals_2n, vecs = _solve_grid(m, L, 2 * n + 1, k, tol, near)
         extrap = (4.0 * vals_2n - vals_n) / 3.0
+        best = extrap
         if prev_extrap is not None:
-            rel = np.max(np.abs(extrap - prev_extrap)
-                         / np.maximum(np.abs(extrap), floor))
+            best = (16.0 * extrap - prev_extrap) / 15.0
+            rel = float(np.max(np.abs(best - prev_best)
+                               / np.maximum(np.abs(best), floor)))
             if rel <= tol:
-                return Spectrum1D(m, L, 2 * n + 1, extrap, vecs)
-        prev_extrap = extrap
+                return Spectrum1D(m, L, 2 * n + 1, best, vecs)
+            if rel >= prev_rel:
+                raise NoConvergence(
+                    f"successive extrapolations agree to {prev_rel:.3g} at best, "
+                    f"not {tol:.3g}: grid {2 * n + 1} agrees no better than the grid "
+                    "below it, so the grids' rounding is reached")
+            prev_rel = rel
+        prev_extrap, prev_best = extrap, best
         near = extrap + (vals_2n - extrap) / 4.0
         vals_n = vals_2n
         n = 2 * n + 1

@@ -476,12 +476,15 @@ def _spy_bisection(monkeypatch):
 
 
 def test_seeded_route_matches_bisection_on_the_ladder(ladder_grids, monkeypatch):
-    """Grids 3-5 seeded from the two grids below, as oscillator1d.spectrum does."""
+    """Grid 2 seeded from grid 1 and grids 3-5 from the two grids below, as
+    oscillator1d.spectrum does."""
     calls = _spy_bisection(monkeypatch)
     vals = [np.array([p.value for p in pairs]) for _, pairs in ladder_grids]
-    for g in (2, 3, 4):
-        extrap = (4.0 * vals[g - 1] - vals[g - 2]) / 3.0
-        near = extrap + (vals[g - 1] - extrap) / 4.0
+    for g in (1, 2, 3, 4):
+        near = vals[0]
+        if g > 1:
+            extrap = (4.0 * vals[g - 1] - vals[g - 2]) / 3.0
+            near = extrap + (vals[g - 1] - extrap) / 4.0
         t, ref = ladder_grids[g]
         seeded = es.eigs_lowest(t, 5, tol=1e-11, near=near)
         for p, q in zip(seeded, ref):

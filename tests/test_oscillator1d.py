@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -137,20 +139,61 @@ def test_anharmonic_positivity_invariant():
                        np.array([-1.0, 2.0]))
 
 
-def test_model_ladder_bisects_only_its_first_two_grids(tmp_path, monkeypatch):
-    # the `osc1d --a 1 --t 8 --k 5 --tol 1e-9` ladder: grids 3-5 are seeded
-    # from the two below them and pass their certificate
-    from wittenlab import cli
+def _spy_ladder(monkeypatch):
+    """Record the grids a ladder discretizes and the ones it bisects."""
     bisected, grids = [], []
     bisect, discretize = eigensolve._lowest_acyclic, osc.discretize
     monkeypatch.setattr(eigensolve, "_lowest_acyclic",
                         lambda d, o, k: bisected.append(len(d)) or bisect(d, o, k))
     monkeypatch.setattr(osc, "discretize",
                         lambda m, L, n: grids.append(n) or discretize(m, L, n))
+    return grids, bisected
+
+
+def test_model_ladder_bisects_only_its_first_grid(tmp_path, monkeypatch):
+    # the `osc1d --a 1 --t 8 --k 5 --tol 1e-9` ladder: grid 2 is seeded from
+    # grid 1, grids 3-4 from the two below them, and all pass their certificate
+    from wittenlab import cli
+    grids, bisected = _spy_ladder(monkeypatch)
     assert cli.main(["osc1d", "--a", "1", "--t", "8", "--k", "5", "--tol", "1e-9",
                      "--outdir", str(tmp_path), "--assert"]) == 0
+    assert grids == [1024, 2049, 4099, 8199]
+    assert bisected == [1024]
+
+
+@pytest.mark.parametrize("model", [osc.Harmonic(3.0, -1), osc.Harmonic(1.0, +1),
+                                   osc.Anharmonic(-2.0, 5.0, +1)])
+def test_harmonic_and_anharmonic_ladders_bisect_only_their_first_grid(model, monkeypatch):
+    grids, bisected = _spy_ladder(monkeypatch)
+    osc.spectrum(model, 4, tol=1e-8)
+    assert len(grids) >= 3
+    assert bisected == [1024]
+
+
+def test_model_ladder_levels_match_the_table_to_5e_12(consts):
+    # the Romberg level removes the h^4 term too: the bench ladder's levels
+    # meet the Galerkin table to 1.6e-12, where Richardson alone reached
+    # 1.05e-11 on a grid twice as large
+    e = np.array(consts["e"][:5])
+    sp = osc.spectrum(osc.Anharmonic(1.0, 8.0, -1), 5, tol=1e-9)
+    assert np.max(np.abs(sp.values / 8.0 ** (2.0 / 3.0) - e) / e) <= 5e-12
+
+
+def test_a_1e_11_ladder_stops_on_grid_8199():
+    sp = osc.spectrum(osc.Anharmonic(1.0, 8.0, -1), 5, tol=1e-11)
+    assert sp.n == 8199
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+def test_a_tol_below_the_grids_rounding_fails_fast(tol, monkeypatch):
+    # agreement stalls near 1.5e-12 relative: the ladder must say so on the
+    # first rung that agrees no better, not refine to REFINE_CAP
+    grids, _ = _spy_ladder(monkeypatch)
+    with pytest.raises(NoConvergence, match="at best") as err:
+        osc.spectrum(osc.Anharmonic(1.0, 8.0, -1), 3, tol=tol)
+    best = float(re.search(r"agree to (\S+) at best", str(err.value)).group(1))
+    assert tol < best < 1e-11
     assert grids == [1024, 2049, 4099, 8199, 16399]
-    assert bisected == [1024, 2049]
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
