@@ -467,6 +467,8 @@ def circle_solve(cf: CircleFunction, t: float, n_grid: int | None = None,
     returns only certified pairs, or else solves as if unseeded
     (`eigensolve.eigs_lowest`).
     """
+    if not (t > 0 and math.isfinite(t)):
+        raise DegenerateInput(f"t must be a positive finite number, got {t}")
     if n_grid is None:
         n_grid = default_n_grid(cf, t)
     if k_eigs is None:

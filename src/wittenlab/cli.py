@@ -295,6 +295,8 @@ def _betti(c) -> list[int]:
 def cmd_complex(args) -> int:
     rep = Reporter(args.outdir, f"complex-{args.sub}", args.do_assert)
     if args.sub == "fuzz":
+        if args.count < 1:
+            raise DegenerateInput(f"--count must be at least 1, got {args.count}")
         rng = np.random.default_rng(args.seed)
         bad = 0
         for i in range(args.count):

@@ -3,8 +3,11 @@
 All arithmetic here is exact (Python integers): incidence numbers are signed
 trajectory counts, ranks and Betti numbers come from fraction-free Gaussian
 elimination, and the elimination of a birth-death pair is the integer base
-change that removes its two cells while preserving cohomology.  The hat
-basis is unitriangular, so its inverse is a finite integer series.
+change that removes its two cells while preserving cohomology.  One core,
+`_eliminate`, cancels the pairs for both `eliminate_pair` and
+`eliminate_all`, and `validate` is the one check that a complex is valid:
+it checks every input it is given and every result of an elimination.
+The hat basis is unitriangular, so its inverse is a finite integer series.
 """
 
 from __future__ import annotations
@@ -51,11 +54,8 @@ class CochainComplex:
         return len(self.cells.get(k, []))
 
     def cell(self, cell_id: str) -> Cell:
-        for cs in self.cells.values():
-            for c in cs:
-                if c.id == cell_id:
-                    return c
-        raise DegenerateInput(f"no cell {cell_id!r}")
+        k, i = self.index_of(cell_id)
+        return self.cells[k][i]
 
     def index_of(self, cell_id: str) -> tuple[int, int]:
         for k, cs in self.cells.items():
@@ -131,13 +131,6 @@ class ValidationReport:
     problems: tuple[str, ...]
 
 
-def _square_problems(delta: dict[int, Matrix], k: int) -> list[str]:
-    """The nonzero entries of delta^{k+1} delta^k; an absent matrix is zero."""
-    prod = _matmul(delta.get(k + 1), delta.get(k))
-    return [f"(delta^{k+1} delta^{k})[{i}][{j}] = {v} != 0"
-            for i, row in enumerate(prod) for j, v in enumerate(row) if v != 0]
-
-
 def _unit_entry_problem(delta: dict[int, Matrix], k: int, bd0: Cell, col: int,
                         bd1: Cell, row: int) -> str | None:
     """None when the pair entry delta^k[row][col] is 1, else what it is."""
@@ -158,9 +151,10 @@ def validate(c: CochainComplex) -> ValidationReport:
     - a pair whose entry delta[bd1, bd0] is not 1.
     Cells are located through one id -> (degree, index) map.
     """
-    problems = []
-    for k in c.degrees():
-        problems += _square_problems(c.delta, k)
+    problems = [f"(delta^{k+1} delta^{k})[{i}][{j}] = {v} != 0"
+                for k in c.degrees()       # an absent matrix is zero
+                for i, row in enumerate(_matmul(c.delta.get(k + 1), c.delta.get(k)))
+                for j, v in enumerate(row) if v != 0]
     place: dict[str, tuple[int, int]] = {}
     for k in c.degrees():
         for i, cell in enumerate(c.cells[k]):
@@ -211,19 +205,6 @@ def betti(c: CochainComplex) -> list[int]:
 _CORRUPTED = "elimination corrupted the complex: "
 
 
-def _working_copy(c: CochainComplex) -> tuple[dict[int, list[Cell]], dict[int, Matrix]]:
-    return ({k: list(cs) for k, cs in c.cells.items()},
-            {k: [list(row) for row in m] for k, m in c.delta.items()})
-
-
-def _reduced(cells: dict[int, list[Cell]], delta: dict[int, Matrix],
-             geometry: dict | None) -> CochainComplex:
-    """A working copy as a complex, without its emptied degrees and matrices."""
-    return CochainComplex({k: cs for k, cs in cells.items() if cs},
-                          {k: m for k, m in delta.items() if m and m[0]},
-                          geometry=geometry)
-
-
 def _cancel(cells: dict[int, list[Cell]], delta: dict[int, Matrix],
             k: int, col: int, row: int) -> None:
     """Remove the pair cells[k][col], cells[k+1][row] from a working copy.
@@ -251,10 +232,33 @@ def _cancel(cells: dict[int, list[Cell]], delta: dict[int, Matrix],
     del cells[k + 1][row]
 
 
-def eliminate_pair(c: CochainComplex, bd0_id: str) -> CochainComplex:
-    """Remove one birth-death pair by the unit-entry base change (`_cancel`).
+def _eliminate(c: CochainComplex, pairs: list[tuple[Cell, Cell]]) -> CochainComplex:
+    """Cancel the pairs (bd0, bd1) in order on one working copy of c.
 
-    The input is not validated, so the output gets a full `validate`.
+    c itself is left unchanged.  `_cancel` refuses a pair whose entry is not
+    1 (PairEntryNotUnit).  The result, without its emptied degrees and
+    matrices, gets a full `validate`; a problem there raises
+    NotAComplex("elimination corrupted the complex: ...").
+    """
+    cells = {k: list(cs) for k, cs in c.cells.items()}
+    delta = {k: [list(row) for row in m] for k, m in c.delta.items()}
+    for bd0, bd1 in pairs:
+        k = bd0.degree
+        _cancel(cells, delta, k, cells[k].index(bd0), cells[k + 1].index(bd1))
+    out = CochainComplex({k: cs for k, cs in cells.items() if cs},
+                         {k: m for k, m in delta.items() if m and m[0]},
+                         geometry=c.geometry)
+    rep = validate(out)
+    if not rep.ok:
+        raise NotAComplex(_CORRUPTED + "; ".join(rep.problems))
+    return out
+
+
+def eliminate_pair(c: CochainComplex, bd0_id: str) -> CochainComplex:
+    """Remove one birth-death pair by the unit-entry base change (`_eliminate`).
+
+    The input is not validated; a pair entry other than 1 raises
+    PairEntryNotUnit, and the output is validated in full.
     """
     k, col = c.index_of(bd0_id)
     bd0 = c.cells[k][col]
@@ -264,13 +268,7 @@ def eliminate_pair(c: CochainComplex, bd0_id: str) -> CochainComplex:
     if k1 != k + 1:
         raise DegenerateInput(
             f"partner {bd0.partner!r} of {bd0_id!r} is not one degree up")
-    cells, delta = _working_copy(c)
-    _cancel(cells, delta, k, col, row)
-    out = _reduced(cells, delta, c.geometry)
-    rep = validate(out)
-    if not rep.ok:
-        raise NotAComplex(_CORRUPTED + "; ".join(rep.problems))
-    return out
+    return _eliminate(c, [(bd0, c.cells[k1][row])])
 
 
 def elimination_order(c: CochainComplex) -> list[tuple[Cell, Cell]]:
@@ -281,42 +279,19 @@ def elimination_order(c: CochainComplex) -> list[tuple[Cell, Cell]]:
 
 
 def eliminate_all(c: CochainComplex) -> CochainComplex:
-    """Eliminate every birth-death pair, in `elimination_order`, on one
-    working copy of c's cells and matrices; c itself is left unchanged.
+    """Eliminate every birth-death pair, in `elimination_order` (`_eliminate`).
 
-    c is validated in full once.  After each pair of degree k is cancelled
-    only what the step can have changed is checked again: the products
-    delta^{k+1} delta^k and delta^k delta^{k-1}, and the unit entries of
-    the remaining degree-k pairs.  That is exactly a full `validate` of the
-    working copy, problem for problem, because every other check reads a
-    restriction of something already checked:
-    - delta^{k+2} delta^{k+1} loses a column and delta^{k-1} delta^{k-2} a
-      row, other products are untouched, and all of them were zero;
-    - a pair of another degree keeps its entry: it lies outside delta^k,
-      in a row and column the step does not delete;
-    - the step removes both cells of a pair, so every remaining cell keeps
-      its degree and its partner.
-    A failed re-check raises NotAComplex("elimination corrupted the complex:
-    ...") with the problems `validate` would report.
+    c is validated in full before the first pair and the result after the
+    last.  A pair whose entry an earlier cancellation moved off 1 raises
+    NotAComplex("elimination corrupted the complex: pair entry ...").
     """
     rep = validate(c)
     if not rep.ok:
         raise NotAComplex("; ".join(rep.problems))
-    cells, delta = _working_copy(c)
-    for bd0, bd1 in elimination_order(c):
-        k = bd0.degree
-        _cancel(cells, delta, k, cells[k].index(bd0), cells[k + 1].index(bd1))
-        problems = _square_problems(delta, k - 1) + _square_problems(delta, k)
-        rows = {cell.id: i for i, cell in enumerate(cells[k + 1])}
-        for col, cell in enumerate(cells[k]):
-            if cell.kind == "bd0":
-                row = rows[cell.partner]
-                if bad := _unit_entry_problem(delta, k, cell, col,
-                                              cells[k + 1][row], row):
-                    problems.append("pair entry " + bad)
-        if problems:
-            raise NotAComplex(_CORRUPTED + "; ".join(problems))
-    return _reduced(cells, delta, c.geometry)
+    try:
+        return _eliminate(c, elimination_order(c))
+    except PairEntryNotUnit as exc:
+        raise NotAComplex(f"{_CORRUPTED}pair entry {exc}") from None
 
 
 # -- gradient flow graphs -----------------------------------------------------

@@ -87,7 +87,7 @@ class Spectrum1D:
     L: float
     n: int
     values: np.ndarray
-    vectors: np.ndarray | None = None   # columns, on the final grid
+    vectors: np.ndarray                 # columns, on the final grid
 
     def __post_init__(self):
         if isinstance(self.model, Anharmonic):
@@ -226,7 +226,7 @@ def verify_reflection(a: float, t: float, k: int, tol: float = 1e-8) -> float:
     NoConvergence.
     """
     sp_minus = spectrum(Anharmonic(a, t, -1), k, tol=tol)
-    sp_plus = spectrum(Anharmonic(a, t, +1), k, tol=tol, L=sp_minus.L, n0=1024)
+    sp_plus = spectrum(Anharmonic(a, t, +1), k, tol=tol, L=sp_minus.L)
     vals_rel = float(np.max(np.abs(sp_plus.values - sp_minus.values)
                             / np.abs(sp_minus.values)))
     if sp_minus.n != sp_plus.n:
@@ -282,6 +282,9 @@ def verify_scaling(t_list: list[float], k: int, a: float = 1.0,
     """
     if not t_list:
         raise DegenerateInput("t_list must be nonempty")
+    for t in t_list:
+        if not (t > 0 and np.isfinite(t)):
+            raise DegenerateInput(f"t must be a positive finite number, got {t}")
     L1 = auto_domain(Anharmonic(a, 1.0, -1), k)
     base = spectrum(Anharmonic(a, 1.0, -1), k, tol=tol, L=L1)
     worst = 0.0

@@ -154,6 +154,23 @@ def test_scaling_command(tmp_path):
                 "--outdir", str(tmp_path), "--assert"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["circle", "clusters", "--example", "A", "--t", "inf"],
+    ["circle", "clusters", "--example", "A", "--t", "-5"],
+    ["circle", "clusters", "--example", "A", "--t", "nan"],
+    ["circle", "clusters", "--example", "A", "--t", "0"],
+    ["compare", "fstar", "--example", "A", "--t-list", "100,-1"],
+    ["scaling", "--t-list", "0"],
+    ["scaling", "--t-list", "8,-1"],
+], ids=["circle-inf", "circle-negative", "circle-nan", "circle-zero",
+        "compare-negative", "scaling-zero", "scaling-negative"])
+def test_a_t_that_is_not_positive_and_finite_is_an_input_error(tmp_path, capsys, argv):
+    assert run(argv + ["--outdir", str(tmp_path)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: t must be a positive finite number")
+    assert "Traceback" not in err
+
+
 def test_local_command(tmp_path):
     assert run(["local", "--index", "0", "--dim", "2", "--a", "1.0",
                 "--degree", "0", "--t", "16", "--m", "2",
@@ -252,6 +269,13 @@ def test_complex_incidence_command(tmp_path):
 def test_complex_fuzz_command(tmp_path):
     assert run(["complex", "fuzz", "--seed", "3", "--count", "25",
                 "--outdir", str(tmp_path), "--assert"]) == 0
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_complex_fuzz_needs_at_least_one_complex(tmp_path, capsys, count):
+    assert run(["complex", "fuzz", f"--count={count}",
+                "--outdir", str(tmp_path)]) == cli.EXIT_INPUT
+    assert f"--count must be at least 1, got {count}" in capsys.readouterr().err
 
 
 def test_input_error_exit_code(tmp_path):

@@ -179,6 +179,39 @@ def test_eliminate_all_reports_a_corrupted_step():
         mc.eliminate_all(c)
 
 
+def test_a_step_that_breaks_two_later_pairs_names_the_first():
+    tags = ("y0", "y1", "y2")
+    cells = {k: [mc.Cell(f"{y}:{k}", k, f"bd{k}", 0.3 * (i + 1), partner=f"{y}:{1 - k}")
+                 for i, y in enumerate(tags)] for k in (0, 1)}
+    c = mc.CochainComplex(cells, {0: [[1, 1, 1], [1, 1, 1], [1, 1, 1]]})
+    assert mc.validate(c).ok
+    with pytest.raises(NotAComplex) as exc:
+        mc.eliminate_all(c)
+    assert str(exc.value) == ("elimination corrupted the complex: "
+                              "pair entry delta[y1:1,y1:0] = 0, expected 1")
+
+
+def test_the_result_of_an_elimination_is_validated(monkeypatch):
+    """A cancellation that leaves delta o delta != 0 is caught by the final
+    `validate` of both eliminators."""
+    base = mc.CochainComplex(
+        {q: [mc.Cell(f"x{q}", q, "nd", float(q))] for q in range(3)},
+        {0: [[1]], 1: [[0]]})
+    c = mc.insert_bd_pair(base, 0, 0.5, [0], [0], tag="y")
+    assert mc.write_complex(mc.eliminate_all(c)) == mc.write_complex(base)
+    cancel = mc._cancel
+
+    def corrupting_cancel(cells, delta, k, col, row):
+        cancel(cells, delta, k, col, row)
+        delta[1][0][0] += 1
+
+    monkeypatch.setattr(mc, "_cancel", corrupting_cancel)
+    for eliminate in (mc.eliminate_all, lambda d: mc.eliminate_pair(d, "y:0")):
+        with pytest.raises(NotAComplex, match=r"elimination corrupted the complex: "
+                           r"\(delta\^1 delta\^0\)\[0\]\[0\] = 1 != 0"):
+            eliminate(c)
+
+
 @pytest.mark.parametrize("text", [
     # bd0 names a nondegenerate cell; the bd1 names that bd0
     "cell a 0 nd 0.0\ncell y:0 0 bd0 0.5 x1\ncell x1 1 nd 1.0\n"

@@ -136,7 +136,7 @@ def test_anharmonic_positivity_invariant():
     assert sp.values[0] < sp.values[1]
     with pytest.raises(PositivityViolation):
         osc.Spectrum1D(osc.Anharmonic(1.0, 1.0, -1), 8.0, 255,
-                       np.array([-1.0, 2.0]))
+                       np.array([-1.0, 2.0]), np.zeros((255, 2)))
 
 
 def _spy_ladder(monkeypatch):
