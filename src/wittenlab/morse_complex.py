@@ -8,6 +8,13 @@ change that removes its two cells while preserving cohomology.  One core,
 `eliminate_all`, and `validate` is the one check that a complex is valid:
 it checks every input it is given and every result of an elimination.
 The hat basis is unitriangular, so its inverse is a finite integer series.
+
+Each complex makes one pass through `read_complex`, `validate`,
+`eliminate_all`, `betti` and `write_complex`, and that pass is kept tight:
+the reader splits each line once, `Cell`s are slotted and write their
+fields once, `validate` checks every matrix's shape and walks the cells
+once, and `_eliminate` finds each pair's cells by identity rather than by
+value.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -21,19 +28,36 @@ from .errors import (DegenerateInput, DegreeMismatch, NotAComplex,
 Matrix = list[list[int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Cell:
+    """One cell: frozen, hashable and equal by value.
+
+    The constructor checks the kind and the partner, then writes the five
+    slots through their own setters; the frozen `__setattr__` refuses every
+    later assignment.
+    """
     id: str
     degree: int
     kind: str                  # "nd" | "bd0" | "bd1"
     f_value: float
     partner: str | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("nd", "bd0", "bd1"):
-            raise DegenerateInput(f"unknown cell kind {self.kind!r}")
-        if (self.kind != "nd") != (self.partner is not None):
+    def __init__(self, id: str, degree: int, kind: str, f_value: float,
+                 partner: str | None = None):
+        if kind not in ("nd", "bd0", "bd1"):
+            raise DegenerateInput(f"unknown cell kind {kind!r}")
+        if (kind != "nd") != (partner is not None):
             raise DegenerateInput("exactly the birth-death cells carry partners")
+        _set_id(self, id)
+        _set_degree(self, degree)
+        _set_kind(self, kind)
+        _set_f_value(self, f_value)
+        _set_partner(self, partner)
+
+
+# the slots' own setters: one call per field, past the frozen __setattr__
+_set_id, _set_degree, _set_kind, _set_f_value, _set_partner = (
+    Cell.__dict__[name].__set__ for name in ("id", "degree", "kind", "f_value", "partner"))
 
 
 @dataclass
@@ -80,16 +104,13 @@ class CochainComplex:
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return []
-    rb = len(b)
-    cb = len(b[0]) if b else 0
-    out = [[0] * cb for _ in range(len(a))]
-    for i, row in enumerate(a):
-        for kk in range(rb):
-            aik = row[kk]
+    width = len(b[0])
+    cols = range(width)
+    out = [[0] * width for _ in a]
+    for row, orow in zip(a, out):
+        for aik, brow in zip(row, b):
             if aik:
-                brow = b[kk]
-                orow = out[i]
-                for j in range(cb):
+                for j in cols:
                     orow[j] += aik * brow[j]
     return out
 
@@ -111,12 +132,13 @@ def integer_rank(mat: Matrix) -> int:
         if piv_row is None:
             continue
         m[rank], m[piv_row] = m[piv_row], m[rank]
-        p = m[rank][col]
+        top = m[rank]
+        p = top[col]
+        right = range(col, n_cols)      # rows rank.. are already zero left of col
         for r in range(rank + 1, n_rows):
             mr = m[r]
             mc = mr[col]
-            top = m[rank]
-            for c in range(n_cols):
+            for c in right:
                 mr[c] = (p * mr[c] - mc * top[c]) // prev
         prev = p
         rank += 1
@@ -142,46 +164,70 @@ def _unit_entry_problem(delta: dict[int, Matrix], k: int, bd0: Cell, col: int,
 def validate(c: CochainComplex) -> ValidationReport:
     """Check that c is a cochain complex whose birth-death pairs cancel.
 
-    Reported as problems:
-    - every nonzero entry of delta^{k+1} delta^k;
+    Reported as problems, in this order:
+    - a matrix delta^k that is not dim(k+1) x dim(k);
+    - every nonzero entry of delta^{k+1} delta^k, for the degrees whose two
+      matrices both have their shapes;
     - a cell listed under a degree other than its own, or an id used twice;
     - a bd0 cell whose partner is not a bd1 cell naming it back, a bd1 cell
       whose partner is not such a bd0 cell, and a pair whose cells are not
       in consecutive degrees;
-    - a pair whose entry delta[bd1, bd0] is not 1.
-    Cells are located through one id -> (degree, index) map.
+    - a pair whose entry delta[bd1, bd0] is not 1 (not looked up in a
+      misshapen delta^k).
+    An absent or empty matrix is zero.  One walk over the cells builds the
+    id -> (degree, index, cell) map and collects the birth-death cells; the
+    partner checks then visit only those.
     """
-    problems = [f"(delta^{k+1} delta^{k})[{i}][{j}] = {v} != 0"
-                for k in c.degrees()       # an absent matrix is zero
-                for i, row in enumerate(_matmul(c.delta.get(k + 1), c.delta.get(k)))
-                for j, v in enumerate(row) if v != 0]
-    place: dict[str, tuple[int, int]] = {}
-    for k in c.degrees():
-        for i, cell in enumerate(c.cells[k]):
+    cells, delta = c.cells, c.delta
+    problems = []
+    misshapen = []
+    given = sorted(delta)
+    for k in given:
+        m = delta[k]
+        rows, cols = len(cells.get(k + 1, ())), len(cells.get(k, ()))
+        if m and [*map(len, m)] != [cols] * rows:
+            width = next((w for w in map(len, m) if w != cols), cols)
+            problems.append(f"delta^{k} is {len(m)} x {width}, "
+                            f"expected {rows} x {cols}")
+            misshapen.append(k)
+    for k in given:                   # an absent matrix is zero
+        if k + 1 not in delta or k in misshapen or k + 1 in misshapen:
+            continue
+        for i, row in enumerate(_matmul(delta[k + 1], delta[k])):
+            if any(row):
+                problems += [f"(delta^{k+1} delta^{k})[{i}][{j}] = {v} != 0"
+                             for j, v in enumerate(row) if v != 0]
+    degrees = sorted(cells)
+    place: dict[str, tuple[int, int, Cell]] = {}
+    bd_cells: list[tuple[int, int, Cell]] = []
+    for k in degrees:
+        for i, cell in enumerate(cells[k]):
+            cid = cell.id
             if cell.degree != k:
-                problems.append(f"cell {cell.id} of degree {cell.degree} "
+                problems.append(f"cell {cid} of degree {cell.degree} "
                                 f"is listed under degree {k}")
-            if cell.id in place:
-                problems.append(f"duplicate cell id {cell.id!r}")
+            at = (k, i, cell)
+            if cid in place:
+                problems.append(f"duplicate cell id {cid!r}")
             else:
-                place[cell.id] = (k, i)
-    for k in c.degrees():
-        for col, cell in enumerate(c.cells[k]):
-            if cell.kind == "nd":
-                continue
-            want = "bd1" if cell.kind == "bd0" else "bd0"
-            kk, row = place.get(cell.partner, (None, None))
-            partner = c.cells[kk][row] if kk is not None else None
-            if (partner is None or partner.kind != want
-                    or partner.partner != cell.id):
-                problems.append(f"{cell.kind} cell {cell.id}: partner "
-                                f"{cell.partner!r} is not a {want} cell naming it")
-            elif cell.kind == "bd0" and kk != k + 1:
-                problems.append(
-                    f"pair {cell.id}/{partner.id}: degrees not consecutive")
-            elif cell.kind == "bd0" and (
-                    bad := _unit_entry_problem(c.delta, k, cell, col, partner, row)):
-                problems.append("pair entry " + bad)
+                place[cid] = at
+            if cell.kind != "nd":
+                bd_cells.append(at)
+    for k, col, cell in bd_cells:
+        kind = cell.kind
+        want = "bd1" if kind == "bd0" else "bd0"
+        at = place.get(cell.partner)
+        partner = at[2] if at else None
+        if (partner is None or partner.kind != want
+                or partner.partner != cell.id):
+            problems.append(f"{kind} cell {cell.id}: partner "
+                            f"{cell.partner!r} is not a {want} cell naming it")
+        elif kind == "bd0" and at[0] != k + 1:
+            problems.append(
+                f"pair {cell.id}/{partner.id}: degrees not consecutive")
+        elif kind == "bd0" and k not in misshapen and (
+                bad := _unit_entry_problem(delta, k, cell, col, partner, at[1])):
+            problems.append("pair entry " + bad)
     return ValidationReport(not problems, tuple(problems))
 
 
@@ -197,7 +243,7 @@ def betti(c: CochainComplex) -> list[int]:
     if not c.cells:
         return []
     top = max(c.degrees())
-    ranks = {k: integer_rank(c.matrix(k)) for k in range(top + 1)}
+    ranks = {k: integer_rank(c.delta.get(k, [])) for k in range(top + 1)}
     return [c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0)
             for k in range(top + 1)]
 
@@ -232,6 +278,14 @@ def _cancel(cells: dict[int, list[Cell]], delta: dict[int, Matrix],
     del cells[k + 1][row]
 
 
+def _position(cells: list[Cell], cell: Cell) -> int:
+    """Index of this very cell object: no value comparison of the cells before it."""
+    for i, other in enumerate(cells):
+        if other is cell:
+            return i
+    raise ValueError(f"{cell!r} is not in list")
+
+
 def _eliminate(c: CochainComplex, pairs: list[tuple[Cell, Cell]]) -> CochainComplex:
     """Cancel the pairs (bd0, bd1) in order on one working copy of c.
 
@@ -241,10 +295,10 @@ def _eliminate(c: CochainComplex, pairs: list[tuple[Cell, Cell]]) -> CochainComp
     NotAComplex("elimination corrupted the complex: ...").
     """
     cells = {k: list(cs) for k, cs in c.cells.items()}
-    delta = {k: [list(row) for row in m] for k, m in c.delta.items()}
+    delta = {k: list(map(list, m)) for k, m in c.delta.items()}
     for bd0, bd1 in pairs:
         k = bd0.degree
-        _cancel(cells, delta, k, cells[k].index(bd0), cells[k + 1].index(bd1))
+        _cancel(cells, delta, k, _position(cells[k], bd0), _position(cells[k + 1], bd1))
     out = CochainComplex({k: cs for k, cs in cells.items() if cs},
                          {k: m for k, m in delta.items() if m and m[0]},
                          geometry=c.geometry)
@@ -680,76 +734,96 @@ def write_complex(c: CochainComplex) -> str:
 
     One `cell` line per cell (id, degree, kind, f_value, optional partner)
     and one `delta` line per nonzero entry (degree, row cell id, column cell
-    id, integer).
+    id, integer).  A matrix whose rows or columns outnumber or fall short of
+    its cells raises ValueError.
     """
     lines = ["# wittenlab cochain complex"]
-    for k in c.degrees():
+    degrees = c.degrees()
+    for k in degrees:
         for cell in c.cells[k]:
             base = f"cell {cell.id} {cell.degree} {cell.kind} {cell.f_value!r}"
             if cell.partner:
                 base += f" {cell.partner}"
             lines.append(base)
-    for k in c.degrees():
-        m = c.matrix(k)
-        uppers = c.cells.get(k + 1, [])
-        lowers = c.cells.get(k, [])
-        for r, ru in enumerate(uppers):
-            for j, cl in enumerate(lowers):
-                if m and m[r][j]:
-                    lines.append(f"delta {k} {ru.id} {cl.id} {m[r][j]}")
+    for k in degrees:
+        m = c.delta.get(k)
+        if not m:
+            continue
+        lowers = c.cells[k]
+        for upper, row in zip(c.cells.get(k + 1, ()), m, strict=True):
+            for lower, v in zip(lowers, row, strict=True):
+                if v:
+                    lines.append(f"delta {k} {upper.id} {lower.id} {v}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_number(kind, token: str, line: str):
-    try:
-        return kind(token)
-    except ValueError:
-        raise DegenerateInput(
-            f"expected {kind.__name__}, got {token!r} in {line!r}") from None
+def _not_a_number(kind: str, token: str, raw: str) -> DegenerateInput:
+    return DegenerateInput(f"expected {kind}, got {token!r} in {raw.strip()!r}")
 
 
 def read_complex(text: str) -> CochainComplex:
+    """Parse the plain-text interchange format (`write_complex`).
+
+    Each line is split once; blank lines and `#` comments are skipped.
+    Errors name the first bad line in line order; an entry whose cells are
+    missing or in the wrong degrees is reported once every line is read.
+    """
     cells: dict[int, list[Cell]] = {}
     place: dict[str, tuple[int, int]] = {}       # cell id -> (degree, index)
     entries: dict[tuple[int, str, str], int] = {}
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "cell":
-            if len(parts) not in (5, 6):
-                raise DegenerateInput(f"malformed cell line: {line!r}")
-            cid, kind = parts[1], parts[3]
-            deg = _parse_number(int, parts[2], line)
-            fv = _parse_number(float, parts[4], line)
+        head = parts[0]
+        if head == "delta":
+            if len(parts) != 5:
+                raise DegenerateInput(f"malformed delta line: {raw.strip()!r}")
+            try:
+                key = (int(parts[1]), parts[2], parts[3])
+            except ValueError:
+                raise _not_a_number("int", parts[1], raw) from None
+            if key in entries:
+                raise DegenerateInput(f"repeated delta entry {parts[2]},{parts[3]}")
+            try:
+                entries[key] = int(parts[4])
+            except ValueError:
+                raise _not_a_number("int", parts[4], raw) from None
+        elif head == "cell":
+            n = len(parts)
+            if not 5 <= n <= 6:
+                raise DegenerateInput(f"malformed cell line: {raw.strip()!r}")
+            cid = parts[1]
+            try:
+                deg = int(parts[2])
+            except ValueError:
+                raise _not_a_number("int", parts[2], raw) from None
+            try:
+                fv = float(parts[4])
+            except ValueError:
+                raise _not_a_number("float", parts[4], raw) from None
             if not math.isfinite(fv):
-                raise DegenerateInput(f"non-finite f value in {line!r}")
+                raise DegenerateInput(f"non-finite f value in {raw.strip()!r}")
             if cid in place:
                 raise DegenerateInput(f"duplicate cell id {cid!r}")
-            partner = parts[5] if len(parts) == 6 else None
             degree_cells = cells.setdefault(deg, [])
             place[cid] = (deg, len(degree_cells))
-            degree_cells.append(Cell(cid, deg, kind, fv, partner))
-        elif parts[0] == "delta":
-            if len(parts) != 5:
-                raise DegenerateInput(f"malformed delta line: {line!r}")
-            key = (_parse_number(int, parts[1], line), parts[2], parts[3])
-            if key in entries:
-                raise DegenerateInput(f"repeated delta entry {key[1]},{key[2]}")
-            entries[key] = _parse_number(int, parts[4], line)
-        else:
-            raise DegenerateInput(f"unknown directive {parts[0]!r}")
+            degree_cells.append(Cell(cid, deg, parts[3], fv, parts[5] if n == 6 else None))
+        elif head[0] != "#":
+            raise DegenerateInput(f"unknown directive {head!r}")
     delta: dict[int, Matrix] = {}
     for (k, rid, cid), val in entries.items():
-        for ref in (rid, cid):
-            if ref not in place:
-                raise DegenerateInput(f"no cell {ref!r}")
-        (kr, r), (kc, j) = place[rid], place[cid]
-        if kr != k + 1 or kc != k:
+        at_r = place.get(rid)
+        if at_r is None:
+            raise DegenerateInput(f"no cell {rid!r}")
+        at_c = place.get(cid)
+        if at_c is None:
+            raise DegenerateInput(f"no cell {cid!r}")
+        if at_r[0] != k + 1 or at_c[0] != k:
             raise DegenerateInput(
                 f"delta {k} entry {rid},{cid} has mismatched degrees")
-        if k not in delta:
-            delta[k] = [[0] * len(cells[k]) for _ in cells[k + 1]]
-        delta[k][r][j] = val
+        m = delta.get(k)
+        if m is None:
+            m = delta[k] = [[0] * len(cells[k]) for _ in cells[k + 1]]
+        m[at_r[1]][at_c[1]] = val
     return CochainComplex(cells, delta)

@@ -46,8 +46,8 @@ class Harmonic:
     shift_sign: int  # +1 or -1
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise DegenerateInput("harmonic model needs t > 0")
+        if not (self.t > 0 and np.isfinite(self.t)):
+            raise DegenerateInput(f"harmonic model needs a finite t > 0, got {self.t}")
         if self.shift_sign not in (-1, 1):
             raise DegenerateInput("shift_sign must be +1 or -1")
 
@@ -66,10 +66,10 @@ class Anharmonic:
     form_sign: int = -1  # -1 acts on functions, +1 on 1-forms
 
     def __post_init__(self):
-        if self.a == 0:
-            raise DegenerateInput("anharmonic model needs a != 0")
-        if self.t <= 0:
-            raise DegenerateInput("anharmonic model needs t > 0")
+        if not (self.a != 0 and np.isfinite(self.a)):
+            raise DegenerateInput(f"anharmonic model needs a finite a != 0, got {self.a}")
+        if not (self.t > 0 and np.isfinite(self.t)):
+            raise DegenerateInput(f"anharmonic model needs a finite t > 0, got {self.t}")
         if self.form_sign not in (-1, 1):
             raise DegenerateInput("form_sign must be +1 or -1")
 

@@ -319,3 +319,41 @@ def test_k_eigs_is_not_an_option(argv, capsys):
         cli.build_parser().parse_args(argv + ["--k-eigs", "13"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --k-eigs 13" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, name", [
+    (["osc1d", "--t", "nan"], "t"),
+    (["osc1d", "--t", "inf"], "t"),
+    (["osc1d", "--a", "nan"], "a"),
+    (["osc1d", "--a=-inf"], "a"),
+    (["local", "--index", "0", "--dim", "2", "--a", "1.0", "--degree", "0",
+      "--t", "inf", "--m", "2"], "t"),
+    (["local", "--index", "0", "--dim", "2", "--a", "nan", "--degree", "0",
+      "--t", "16", "--m", "2"], "a"),
+], ids=["osc1d-t-nan", "osc1d-t-inf", "osc1d-a-nan", "osc1d-a-inf", "local-t-inf",
+        "local-a-nan"])
+def test_a_model_parameter_that_is_not_finite_is_named(tmp_path, capsys, argv, name):
+    assert run(argv + ["--outdir", str(tmp_path)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"model needs a finite {name} " in err
+
+
+@pytest.mark.parametrize("cells, delta, problem", [
+    ({0: [mc.Cell("a", 0, "nd", 0.0), mc.Cell("b", 0, "nd", 0.5)],
+      1: [mc.Cell("x", 1, "nd", 1.0), mc.Cell("y", 1, "nd", 1.5)]},
+     {0: [[1, -1, 5]]}, "delta^0 is 1 x 3, expected 2 x 2"),
+    ({q: [mc.Cell(f"c{q}", q, "nd", float(q))] for q in range(3)},
+     {0: [[1], [2]], 1: [[1]]}, "delta^0 is 2 x 1, expected 1 x 1"),
+], ids=["too_wide", "inner_mismatch"])
+def test_complex_validate_reports_a_misshapen_matrix(tmp_path, monkeypatch, cells, delta,
+                                                     problem):
+    # the reader sizes every matrix by its cells, so the file's parse is replaced
+    path = tmp_path / "c.cplx"
+    path.write_text("# read through the patched reader\n")
+    monkeypatch.setattr(mc, "read_complex",
+                        lambda text: mc.CochainComplex(cells, delta))
+    assert run(["complex", "validate", "--file", str(path),
+                "--outdir", str(tmp_path), "--assert"]) == cli.EXIT_ASSERT
+    (check,) = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert check["detail"] == problem

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -462,3 +464,130 @@ def test_hat_coboundary_on_generated_functions():
         _hat_coboundary_holds(cf)
         built += 1
     assert built >= 30
+
+
+# -- pinned outputs of the exact-integer layer ---------------------------------
+
+def _cells(*specs):
+    out: dict[int, list[mc.Cell]] = {}
+    for spec in specs:
+        cell = mc.Cell(*spec)
+        out.setdefault(cell.degree, []).append(cell)
+    return out
+
+
+@pytest.mark.parametrize("cells, delta, problems", [
+    (_cells(("a", 0, "nd", 0.0), ("y:0", 0, "bd0", 0.5, "y:1"),
+            ("y:1", 1, "bd1", 0.5, "y:0"), ("b", 1, "nd", 1.0), ("z", 2, "nd", 2.0)),
+     {0: [[0, 2], [1, 0]], 1: [[1, 1]]},
+     ("(delta^1 delta^0)[0][0] = 1 != 0", "(delta^1 delta^0)[0][1] = 2 != 0",
+      "pair entry delta[y:1,y:0] = 2, expected 1")),
+    ({0: [mc.Cell("x", 0, "nd", 0.0)],
+      1: [mc.Cell("x", 0, "nd", 0.0), mc.Cell("w", 2, "nd", 1.0)]}, {},
+     ("cell x of degree 0 is listed under degree 1", "duplicate cell id 'x'",
+      "cell w of degree 2 is listed under degree 1")),
+    (_cells(("y:0", 0, "bd0", 0.5, "y:2"), ("y:2", 2, "bd1", 0.5, "y:0")), {},
+     ("pair y:0/y:2: degrees not consecutive",)),
+    # the second y:0 is still checked as a bd0 cell: its entry is 3
+    (_cells(("y:0", 0, "bd0", 0.5, "y:1"), ("y:0", 0, "bd0", 0.7, "y:1"),
+            ("y:1", 1, "bd1", 0.5, "y:0")), {0: [[1, 3]]},
+     ("duplicate cell id 'y:0'", "pair entry delta[y:1,y:0] = 3, expected 1")),
+    (_cells(("a", 0, "nd", 0.0), ("y:0", 0, "bd0", 0.5, "x1"), ("x1", 1, "nd", 1.0),
+            ("y:1", 1, "bd1", 0.5, "y:0")), {0: [[0, 1], [0, 1]]},
+     ("bd0 cell y:0: partner 'x1' is not a bd1 cell naming it",
+      "bd1 cell y:1: partner 'y:0' is not a bd0 cell naming it")),
+], ids=["square_and_entry", "misfiled_and_duplicate", "not_consecutive",
+        "duplicate_bd0", "bd0_names_nd"])
+def test_validate_reports_exactly_these_problems(cells, delta, problems):
+    assert mc.validate(mc.CochainComplex(cells, delta)) == mc.ValidationReport(False, problems)
+
+
+@pytest.mark.parametrize("cells, delta, problem", [
+    # delta^0 has one row and three columns over two cells in each degree
+    (_cells(("a", 0, "nd", 0.0), ("b", 0, "nd", 0.5), ("x", 1, "nd", 1.0),
+            ("y", 1, "nd", 1.5)), {0: [[1, -1, 5]]},
+     "delta^0 is 1 x 3, expected 2 x 2"),
+    # inner dimensions disagree: delta^1 delta^0 cannot be formed
+    (_cells(("a", 0, "nd", 0.0), ("x", 1, "nd", 1.0), ("z", 2, "nd", 2.0)),
+     {0: [[1], [2]], 1: [[1]]},
+     "delta^0 is 2 x 1, expected 1 x 1"),
+], ids=["too_wide", "inner_mismatch"])
+def test_a_matrix_of_the_wrong_shape_is_reported(cells, delta, problem):
+    c = mc.CochainComplex(cells, delta)
+    assert mc.validate(c) == mc.ValidationReport(False, (problem,))
+    for call in (mc.betti, mc.eliminate_all):
+        with pytest.raises(NotAComplex, match=re.escape(problem)):
+            call(c)
+
+
+_CELL_LINES = "cell x 0 nd 0.0\ncell z 1 nd 1.0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cell onlythree 0\n", "malformed cell line: 'cell onlythree 0'"),
+    ("  delta 0 a b\t\n", "malformed delta line: 'delta 0 a b'"),
+    ("cell x zero nd 0.0\n", "expected int, got 'zero' in 'cell x zero nd 0.0'"),
+    ("cell x 1.5 nd 0.0\n", "expected int, got '1.5' in 'cell x 1.5 nd 0.0'"),
+    ("cell x 0 nd low\n", "expected float, got 'low' in 'cell x 0 nd low'"),
+    (_CELL_LINES + "delta zero z x 1\n", "expected int, got 'zero' in 'delta zero z x 1'"),
+    (_CELL_LINES + "delta 0 z x one\n", "expected int, got 'one' in 'delta 0 z x one'"),
+    ("\tcell x 0 nd nan  \n", "non-finite f value in 'cell x 0 nd nan'"),
+    ("cell x 0 nd inf\n", "non-finite f value in 'cell x 0 nd inf'"),
+    ("cell x 0 nd 0.0\ncell x 1 nd 1.0\n", "duplicate cell id 'x'"),
+    (_CELL_LINES + "delta 0 z x 1\ndelta 0 z x 2\n", "repeated delta entry z,x"),
+    (_CELL_LINES + "delta 0 z x 1\ndelta 00 z x 1\n", "repeated delta entry z,x"),
+    ("bogus directive\n", "unknown directive 'bogus'"),
+    ("cell x 0 nd 0.0\ndelta 0 z x 1\n", "no cell 'z'"),
+    ("cell z 1 nd 0.0\ndelta 0 z x 1\n", "no cell 'x'"),
+    ("cell x 0 nd 0.0\ncell z 2 nd 1.0\ndelta 0 z x 1\n",
+     "delta 0 entry z,x has mismatched degrees"),
+    ("cell x 0 xx 0.0\n", "unknown cell kind 'xx'"),
+    ("cell x 0 bd0 0.0\n", "exactly the birth-death cells carry partners"),
+    ("cell x 0 nd 0.0 y\n", "exactly the birth-death cells carry partners"),
+])
+def test_read_complex_error_messages(text, message):
+    with pytest.raises(DegenerateInput) as exc:
+        mc.read_complex(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cell x zero nd 0.0\ncell y 0 nd low\n",
+     "expected int, got 'zero' in 'cell x zero nd 0.0'"),
+    ("cell x 0 nd 0.0\ncell x 0 nd 0.0\ncell y 0 xx 0.0\n", "duplicate cell id 'x'"),
+    ("cell y 0 xx 0.0\ndelta 0 a b c\n", "unknown cell kind 'xx'"),
+    ("delta 0 a b c\ncell y 0 xx 0.0\n", "expected int, got 'c' in 'delta 0 a b c'"),
+    # an entry's missing cells are looked up only once every line is read
+    ("delta 0 a b 1\nbogus line\n", "unknown directive 'bogus'"),
+])
+def test_read_complex_reports_the_first_bad_line(text, message):
+    with pytest.raises(DegenerateInput) as exc:
+        mc.read_complex(text)
+    assert str(exc.value) == message
+
+
+def test_cell_is_frozen_hashable_and_equal_by_value():
+    cell = mc.Cell("y:0", 0, "bd0", 0.5, partner="y:1")
+    twin = mc.Cell("y:0", 0, "bd0", 0.5, "y:1")
+    assert cell == twin and cell is not twin
+    assert hash(cell) == hash(twin) and len({cell, twin}) == 1
+    assert cell != mc.Cell("y:0", 0, "bd0", 0.25, "y:1")
+    assert repr(cell) == "Cell(id='y:0', degree=0, kind='bd0', f_value=0.5, partner='y:1')"
+    assert repr(mc.Cell("x", 1, "nd", 1.0)) == \
+        "Cell(id='x', degree=1, kind='nd', f_value=1.0, partner=None)"
+    for name in ("id", "degree", "kind", "f_value", "partner"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cell, name, None)
+    assert cell == twin
+
+
+def test_write_read_write_is_a_fixed_point():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        c = mc.random_complex(rng, n_pairs=int(rng.integers(1, 7)))
+        text = mc.write_complex(c)
+        back = mc.read_complex(text)
+        assert mc.write_complex(back) == text
+        assert mc.betti(back) == mc.betti(c)
+        assert (mc.write_complex(mc.eliminate_all(back))
+                == mc.write_complex(mc.eliminate_all(c)))
