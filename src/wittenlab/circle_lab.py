@@ -466,6 +466,11 @@ def circle_solve(cf: CircleFunction, t: float, n_grid: int | None = None,
     coarser grid, seeds Delta0 with its degree-0 values.  A seeded solve
     returns only certified pairs, or else solves as if unseeded
     (`eigensolve.eigs_lowest`).
+
+    Before the eigensolve, the narrowest cluster window's half-width,
+    `choose_epsilon(cf) * t^(2/3)`, must exceed the eigenpairs' residual
+    bound `EIG_TOL * scale` of Delta0; otherwise the located values cannot
+    tell the windows apart and AssumptionViolated names both numbers.
     """
     if not (t > 0 and math.isfinite(t)):
         raise DegenerateInput(f"t must be a positive finite number, got {t}")
@@ -476,6 +481,12 @@ def circle_solve(cf: CircleFunction, t: float, n_grid: int | None = None,
     if coarse is not None and (coarse.cf != cf or coarse.t != t or coarse.k_eigs != k_eigs):
         raise DegenerateInput("a coarse seed must solve the same function, t and k_eigs")
     w = assemble_witten(cf, t, n_grid)
+    half_width, bound = choose_epsilon(cf) * t ** (2.0 / 3.0), EIG_TOL * w.delta0.scale
+    if not half_width > bound:
+        raise AssumptionViolated(
+            f"cluster window half-width choose_epsilon * t^(2/3) = {half_width:.4g} "
+            f"is not above the eigenpair residual bound EIG_TOL * scale = {bound:.4g} "
+            f"at t={t:g}: the spectrum spans more decades than float64 resolves")
     near = None if coarse is None else coarse.values(0)
     pairs0 = eigensolve.eigs_lowest(w.delta0, k_eigs, tol=EIG_TOL, near=near)
     pairs1 = eigensolve.eigs_lowest(w.delta1, k_eigs, tol=EIG_TOL,

@@ -310,8 +310,8 @@ def cmd_complex(args) -> int:
         return rep.finish()
 
     if args.example:
-        cplx, graph, table, hats = whs_compare.circle_complex(
-            circle_lab.example_function(args.example))
+        cc = whs_compare.circle_complex(circle_lab.example_function(args.example))
+        cplx, graph, table = cc.cplx, cc.graph, cc.incidence
     else:
         cplx = morse_complex.read_complex(Path(args.file).read_text())
         graph = table = None

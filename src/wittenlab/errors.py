@@ -60,7 +60,9 @@ class ClusterOverlap(WittenLabError):
 
 
 class AssumptionViolated(WittenLabError):
-    """Separation hypothesis between the first and second model levels fails."""
+    """A hypothesis of the cluster windows fails: the separation of the first
+    and second model levels, or a window half-width above the eigenpairs'
+    residual bound."""
 
 
 class ProjectionDegenerate(WittenLabError):

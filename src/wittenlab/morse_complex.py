@@ -8,6 +8,8 @@ change that removes its two cells while preserving cohomology.  One core,
 `eliminate_all`, and `validate` is the one check that a complex is valid:
 it checks every input it is given and every result of an elimination.
 The hat basis is unitriangular, so its inverse is a finite integer series.
+The layer is exact and combinatorial only: the descending-cell complex of
+a circle function is built from these parts by `whs_compare.circle_complex`.
 
 Each complex makes one pass through `read_complex`, `validate`,
 `eliminate_all`, `betti` and `write_complex`, and that pass is kept tight:
@@ -20,7 +22,7 @@ value.  Nothing is cached between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (DegenerateInput, DegreeMismatch, NotAComplex,
                      NotMorseSmale, PairEntryNotUnit)
@@ -69,7 +71,6 @@ class CochainComplex:
     """
     cells: dict[int, list[Cell]]
     delta: dict[int, Matrix]
-    geometry: dict | None = field(default=None, compare=False, repr=False)
 
     def degrees(self) -> list[int]:
         return sorted(self.cells)
@@ -89,9 +90,16 @@ class CochainComplex:
         raise DegenerateInput(f"no cell {cell_id!r}")
 
     def bd_pairs(self) -> list[tuple[Cell, Cell]]:
-        by_id = {c.id: c for cs in self.cells.values() for c in cs}
-        return [(c, by_id.get(c.partner) or self.cell(c.partner))
-                for cs in self.cells.values() for c in cs if c.kind == "bd0"]
+        """(bd0, partner) per bd0 cell; a partner that is not a bd1 cell is
+        looked up by `cell`, which raises DegenerateInput when it is missing."""
+        bd0s, bd1_of = [], {}
+        for cs in self.cells.values():
+            for c in cs:
+                if c.kind == "bd0":
+                    bd0s.append(c)
+                elif c.kind == "bd1":
+                    bd1_of[c.id] = c
+        return [(c, bd1_of.get(c.partner) or self.cell(c.partner)) for c in bd0s]
 
     def matrix(self, k: int) -> Matrix:
         rows, cols = self.dim(k + 1), self.dim(k)
@@ -231,15 +239,20 @@ def validate(c: CochainComplex) -> ValidationReport:
     return ValidationReport(not problems, tuple(problems))
 
 
+def _require_valid(c: CochainComplex, prefix: str = "") -> None:
+    """Raise NotAComplex(prefix + the problems) unless c passes `validate`."""
+    rep = validate(c)
+    if not rep.ok:
+        raise NotAComplex(prefix + "; ".join(rep.problems))
+
+
 def betti(c: CochainComplex) -> list[int]:
     """Rational Betti numbers b_k = dim C^k - rank d^k - rank d^{k-1}.
 
     The list spans degree 0 through the top occupied degree; empty degrees
     in between contribute 0.
     """
-    rep = validate(c)
-    if not rep.ok:
-        raise NotAComplex("; ".join(rep.problems))
+    _require_valid(c)
     if not c.cells:
         return []
     top = max(c.degrees())
@@ -300,11 +313,8 @@ def _eliminate(c: CochainComplex, pairs: list[tuple[Cell, Cell]]) -> CochainComp
         k = bd0.degree
         _cancel(cells, delta, k, _position(cells[k], bd0), _position(cells[k + 1], bd1))
     out = CochainComplex({k: cs for k, cs in cells.items() if cs},
-                         {k: m for k, m in delta.items() if m and m[0]},
-                         geometry=c.geometry)
-    rep = validate(out)
-    if not rep.ok:
-        raise NotAComplex(_CORRUPTED + "; ".join(rep.problems))
+                         {k: m for k, m in delta.items() if m and m[0]})
+    _require_valid(out, _CORRUPTED)
     return out
 
 
@@ -339,9 +349,7 @@ def eliminate_all(c: CochainComplex) -> CochainComplex:
     last.  A pair whose entry an earlier cancellation moved off 1 raises
     NotAComplex("elimination corrupted the complex: pair entry ...").
     """
-    rep = validate(c)
-    if not rep.ok:
-        raise NotAComplex("; ".join(rep.problems))
+    _require_valid(c)
     try:
         return _eliminate(c, elimination_order(c))
     except PairEntryNotUnit as exc:
@@ -447,7 +455,8 @@ def hat_basis(c: CochainComplex, incidence: dict[tuple[str, str], int]) -> dict[
     """Base change whose nondegenerate part spans the reduced subcomplex.
 
     hat(e_x) = e_x + sum_y I(y, x) e_y0 over same-degree birth-death cells;
-    hat(e_y0) = e_y0; hat(e_y1) = delta(e_y0).
+    hat(e_y0) = e_y0; hat(e_y1) = delta(e_y0).  Its closure under delta is
+    checked where delta is written in it (`hat_coboundary`).
     """
     out: dict[str, dict[str, int]] = {}
     for k in c.degrees():
@@ -471,7 +480,6 @@ def hat_basis(c: CochainComplex, incidence: dict[tuple[str, str], int]) -> dict[
                     if dk[r][col]:
                         coeffs[target.id] = dk[r][col]
                 out[cell.id] = coeffs
-    _verify_hat_closure(c, out)
     return out
 
 
@@ -503,155 +511,30 @@ def hat_inverse(c: CochainComplex, k: int,
     return inv
 
 
-def hat_coboundary(c: CochainComplex, k: int,
-                   hats: dict[str, dict[str, int]]) -> Matrix:
+def hat_coboundary(c: CochainComplex, k: int, hats: dict[str, dict[str, int]],
+                   upper_inverse: Matrix) -> Matrix:
     """delta^k w.r.t. the hat bases (exact): column j holds the degree-(k+1)
-    hat coordinates of delta(hat(cells[k][j]))."""
+    hat coordinates of delta(hat(cells[k][j])), read through upper_inverse,
+    the `hat_inverse` of degree k+1.
+
+    The hat basis must be closed: delta(hat_x) of a nondegenerate cell x with
+    a component on a birth-death hat vector raises NotAComplex.
+    """
     lower = c.cells.get(k, [])
-    dk = c.matrix(k)
     col_of = {cell.id: j for j, cell in enumerate(lower)}
     hat_lower = [[0] * len(lower) for _ in lower]
     for j, cell in enumerate(lower):
         for cid, coeff in hats[cell.id].items():
             hat_lower[col_of[cid]][j] = coeff
-    return _matmul(hat_inverse(c, k + 1, hats), _matmul(dk, hat_lower))
-
-
-def _verify_hat_closure(c: CochainComplex, hats: dict[str, dict[str, int]]):
-    """delta(hat_x) must have no component on hat_y0 or hat_y1 vectors."""
-    for k in c.degrees():
-        upper = c.cells.get(k + 1, [])
-        if not upper:
-            continue
-        dhat = hat_coboundary(c, k, hats)
-        for j, cell in enumerate(c.cells[k]):
-            if cell.kind != "nd":
-                continue
-            for i, target in enumerate(upper):
-                if target.kind != "nd" and dhat[i][j] != 0:
-                    raise NotAComplex(
-                        f"delta(hat {cell.id}) has component {dhat[i][j]} "
-                        f"on hat {target.id}")
-
-
-# -- circle construction -------------------------------------------------------
-
-def circle_complex_from_function(cf) -> tuple[CochainComplex, FlowGraph]:
-    """Descending-cell complex and signed flow graph of a circle function.
-
-    Cells: one 0-cell per minimum, one 1-cell (the open arc through the
-    maximum) per maximum, and a 0-cell plus a one-sided descending arc per
-    birth-death point.  1-cells are oriented with increasing angle; the arc
-    of a birth-death pair is reoriented if needed so its pair entry is +1.
-    """
-    import numpy as np
-
-    points = cf.labels
-    if len(points) < 2:
-        raise NotMorseSmale("need at least two critical points on the circle")
-    two_pi = 2.0 * np.pi
-    labs = list(points)
-    n = len(labs)
-
-    # arcs between consecutive critical points (by label), with flow direction
-    arcs = []
-    for i in range(n):
-        la, lb = labs[i], labs[(i + 1) % n]
-        a, b = points[la], points[lb]
-        lo = a.theta
-        hi = b.theta if b.theta > a.theta else b.theta + two_pi
-        mid = 0.5 * (lo + hi)
-        slope = cf.fprime(np.array([mid]))[0]
-        if slope == 0.0:
-            raise NotMorseSmale(f"f' vanishes inside the arc at {mid:.6f}")
-        if abs(a.f_value - b.f_value) < 1e-12:
-            raise NotMorseSmale(
-                f"adjacent critical values at {a.theta:.4f}, {b.theta:.4f} coincide")
-        # slope < 0: f decreases with theta, so flow runs a -> b
-        src, dst = (la, lb) if slope < 0 else (lb, la)
-        if points[src].f_value <= points[dst].f_value:
-            raise NotMorseSmale("flow direction contradicts critical values")
-        arcs.append({"src": src, "dst": dst, "plus_end": lb, "minus_end": la})
-
-    cells0: list[Cell] = []
-    cells1: list[Cell] = []
-    geometry: dict[str, dict] = {}
-    for lab, p in points.items():
-        if p.kind == "nd" and p.index == 0:
-            cells0.append(Cell(lab, 0, "nd", p.f_value))
-            geometry[lab] = {"theta": p.theta}
-        elif p.kind == "bd":
-            cells0.append(Cell(lab + ":0", 0, "bd0", p.f_value, partner=lab + ":1"))
-            cells1.append(Cell(lab + ":1", 1, "bd1", p.f_value, partner=lab + ":0"))
-            geometry[lab + ":0"] = {"theta": p.theta}
-
-    # each maximum owns its two adjacent (descending) arcs; each birth-death
-    # point owns the single arc it sources
-    owned: dict[str, list[dict]] = {}
-    ends: dict[str, tuple[str, str]] = {}      # 1-cell id -> (minus end, plus end)
-    for arc in arcs:
-        owned.setdefault(arc["src"], []).append(arc)
-    for lab, p in points.items():
-        mine = owned.get(lab, [])
-        if p.kind == "nd" and p.index == 1:
-            if len(mine) != 2:
-                raise NotMorseSmale(f"maximum {lab} sources {len(mine)} arcs")
-            cells1.append(Cell(lab, 1, "nd", p.f_value))
-            lo_arc = next(a for a in mine if a["plus_end"] == lab)
-            hi_arc = next(a for a in mine if a["minus_end"] == lab)
-            ends[lab] = (lo_arc["minus_end"], hi_arc["plus_end"])
-            geometry[lab] = {"orient": 1, "ends": tuple(points[e] for e in ends[lab])}
-        elif p.kind == "bd":
-            if len(mine) != 1:
-                raise NotMorseSmale(f"birth-death point {lab} sources {len(mine)} arcs")
-            arc = mine[0]
-            ends[lab + ":1"] = (arc["minus_end"], arc["plus_end"])
-            geometry[lab + ":1"] = {"orient": 1,
-                                    "ends": tuple(points[e] for e in ends[lab + ":1"])}
-        elif p.kind == "nd" and p.index == 0 and mine:
-            raise NotMorseSmale(f"minimum {lab} sources an arc")
-
-    def zero_cell_id(lab: str) -> str:
-        return lab + ":0" if points[lab].kind == "bd" else lab
-
-    col = {c.id: j for j, c in enumerate(cells0)}
-    row = {c.id: i for i, c in enumerate(cells1)}
-    delta0: Matrix = [[0] * len(cells0) for _ in cells1]
-    edges: list[tuple[str, str, int]] = []
-
-    for c1 in cells1:
-        geo = geometry[c1.id]
-        minus_end, plus_end = ends[c1.id]
-        # oriented + theta: boundary = (plus end) - (minus end)
-        contes = [(plus_end, 1), (minus_end, -1)]
-        if c1.kind == "bd1":
-            # the pair entry must be +1: flip orientation if the point sits
-            # at the minus end
-            pair_sign = next(s for lab, s in contes if zero_cell_id(lab) == c1.partner)
-            if pair_sign == -1:
-                geo["orient"] = -1
-                contes = [(lab, -s) for lab, s in contes]
-        for lab, s in contes:
-            delta0[row[c1.id]][col[zero_cell_id(lab)]] += s
-
-    # trajectory signs: the contribution of each arc at its sink, under the
-    # final orientation of the owning 1-cell
-    vertices: dict[str, FlowVertex] = {}
-    for lab, p in points.items():
-        vertices[lab] = FlowVertex(lab, p.kind == "bd", p.f_value,
-                                   index=p.index if p.kind == "nd" else 0)
-    for arc in arcs:
-        sign = 1 if arc["dst"] == arc["plus_end"] else -1
-        if points[arc["src"]].kind == "bd":
-            sign *= geometry[arc["src"] + ":1"]["orient"]
-        edges.append((arc["src"], arc["dst"], sign))
-
-    cplx = CochainComplex({0: cells0, 1: cells1}, {0: delta0}, geometry=geometry)
-    rep = validate(cplx)
-    if not rep.ok:
-        raise NotAComplex("; ".join(rep.problems))
-    graph = FlowGraph(vertices, edges)
-    return cplx, graph
+    dhat = _matmul(upper_inverse, _matmul(c.matrix(k), hat_lower))
+    upper = c.cells.get(k + 1, [])
+    for j, cell in enumerate(lower):
+        if cell.kind == "nd":
+            for target, row in zip(upper, dhat):
+                if target.kind != "nd" and row[j] != 0:
+                    raise NotAComplex(f"delta(hat {cell.id}) has component "
+                                      f"{row[j]} on hat {target.id}")
+    return dhat
 
 
 # -- random valid complexes (for property tests and the fuzz command) ----------
@@ -697,10 +580,8 @@ def insert_bd_pair(c: CochainComplex, degree: int, f_value: float,
                 m[s].append(-sum(dk1[s][r] * v_col[r] for r in range(n_k1)))
         if m and m[0]:
             delta[q] = m
-    out = CochainComplex(cells, delta, geometry=c.geometry)
-    rep = validate(out)
-    if not rep.ok:
-        raise NotAComplex("pair insertion failed: " + "; ".join(rep.problems))
+    out = CochainComplex(cells, delta)
+    _require_valid(out, "pair insertion failed: ")
     return out
 
 

@@ -1,4 +1,12 @@
-"""Integration chain maps between the spectral and geometric complexes.
+"""The geometric complex of a circle function and the integration chain maps
+between it and the spectral complex.
+
+`circle_complex` builds the paper's limit object once per call: the
+descending cells of the generalized Morse function with their integer
+coboundary, the signed flow graph, the generalized incidences, the hat
+basis, each degree's integer hat inverse and delta^0 in the hat bases, and
+each cell's angles and orientation.  It is the only place that reads circle
+geometry into cells; `morse_complex` stays exact and combinatorial.
 
 The low-cluster eigenform bases are pushed to cell cochains through the
 weighted integration Int(e^{tf} omega); with the per-column normalizations
@@ -12,8 +20,8 @@ The spectral side comes in as a `circle_lab.CircleSolve`, one per
 deformation strength, built by the caller with `circle_lab.circle_solve`:
 `f_star` and `matrix_element_check` read its small+large subcomplex off it
 with `circle_lab.low_complex` and never assemble or solve again.  Hat
-coordinates use the integer inverse of the hat matrix from
-`morse_complex.hat_inverse`: the hat matrix is I - M with M nilpotent, so
+coordinates use the stored integer inverse of the hat matrix
+(`morse_complex.hat_inverse`): the hat matrix is I - M with M nilpotent, so
 its inverse is the finite sum I + M + M^2 + ... .
 """
 
@@ -27,66 +35,152 @@ import numpy as np
 from . import circle_lab, morse_complex
 from .circle_lab import CircleFunction, CircleSolve, WittenMatrices
 from .constants import load_constants
-from .errors import CellOutsideGrid, DegenerateInput, NotSelfIndexed
+from .errors import CellOutsideGrid, DegenerateInput, NotMorseSmale, NotSelfIndexed
 from .logspace import LogValue, LogVector, _logsum, logsumexp_signed
+from .morse_complex import Cell, CochainComplex, FlowGraph, FlowVertex, Matrix
 
 TWO_PI = 2.0 * math.pi
 
 
-# -- the cell complex and its cell/grid mapping ---------------------------------
+# -- the geometric complex and its cells on the grid ----------------------------
 
-def circle_complex(cf: CircleFunction):
-    """Complex, flow graph, incidence table and hat basis for one function."""
-    cplx, graph = morse_complex.circle_complex_from_function(cf)
-    table = morse_complex.incidence_recursive(graph)
-    cell_table = {}
-    for (src, dst), val in table.items():
-        src_cell = src + ":0" if graph.vertices[src].is_bd else src
-        dst_cell = dst + ":0" if graph.vertices[dst].is_bd else dst
-        cell_table[(src_cell, dst_cell)] = val
-    hats = morse_complex.hat_basis(cplx, cell_table)
-    return cplx, graph, cell_table, hats
+@dataclass(frozen=True)
+class CircleComplex:
+    """The descending-cell complex of one circle function (`circle_complex`).
+
+    incidence holds the generalized incidences keyed by cell id, hats each
+    cell's hat vector in cell coordinates, hat_inverse[k] the integer inverse
+    of the degree-k hat matrix and delta_hat delta^0 in the hat bases.
+    theta gives each 0-cell's angle and arcs each 1-cell's (minus-end angle,
+    plus-end angle, orientation).
+    """
+    cplx: CochainComplex
+    graph: FlowGraph
+    incidence: dict[tuple[str, str], int]
+    hats: dict[str, dict[str, int]]
+    hat_inverse: tuple[Matrix, Matrix]
+    delta_hat: Matrix
+    theta: dict[str, float]
+    arcs: dict[str, tuple[float, float, int]]
+
+
+def circle_complex(cf: CircleFunction) -> CircleComplex:
+    """The geometric complex of cf, its flow graph, incidences and hat data.
+
+    Cells: one 0-cell per minimum, one 1-cell (the open arc through the
+    maximum) per maximum, and a 0-cell plus a one-sided descending arc per
+    birth-death point.  1-cells are oriented with increasing angle; the arc
+    of a birth-death pair is reoriented if needed so its pair entry is +1.
+    """
+    points = cf.labels
+    if len(points) < 2:
+        raise NotMorseSmale("need at least two critical points on the circle")
+    labs = list(points)
+
+    # arcs between consecutive critical points: (source, sink, minus end, plus end)
+    flows = []
+    for la, lb in zip(labs, labs[1:] + labs[:1]):
+        a, b = points[la], points[lb]
+        hi = b.theta if b.theta > a.theta else b.theta + TWO_PI
+        mid = 0.5 * (a.theta + hi)
+        slope = cf.fprime(np.array([mid]))[0]
+        if slope == 0.0:
+            raise NotMorseSmale(f"f' vanishes inside the arc at {mid:.6f}")
+        if abs(a.f_value - b.f_value) < 1e-12:
+            raise NotMorseSmale(
+                f"adjacent critical values at {a.theta:.4f}, {b.theta:.4f} coincide")
+        # slope < 0: f decreases with theta, so flow runs a -> b
+        src, dst = (la, lb) if slope < 0 else (lb, la)
+        if points[src].f_value <= points[dst].f_value:
+            raise NotMorseSmale("flow direction contradicts critical values")
+        flows.append((src, dst, la, lb))
+
+    cells0: list[Cell] = []
+    cells1: list[Cell] = []
+    theta: dict[str, float] = {}
+    for lab, p in points.items():
+        if p.kind == "bd":
+            cells0.append(Cell(lab + ":0", 0, "bd0", p.f_value, partner=lab + ":1"))
+            cells1.append(Cell(lab + ":1", 1, "bd1", p.f_value, partner=lab + ":0"))
+            theta[lab + ":0"] = p.theta
+        elif p.index == 0:
+            cells0.append(Cell(lab, 0, "nd", p.f_value))
+            theta[lab] = p.theta
+
+    # each maximum owns its two adjacent (descending) arcs; each birth-death
+    # point owns the single arc it sources
+    owned: dict[str, list[tuple]] = {}
+    for flow in flows:
+        owned.setdefault(flow[0], []).append(flow)
+    ends: dict[str, tuple[str, str]] = {}      # 1-cell id -> (minus end, plus end)
+    for lab, p in points.items():
+        mine = owned.get(lab, [])
+        if p.kind == "bd":
+            if len(mine) != 1:
+                raise NotMorseSmale(f"birth-death point {lab} sources {len(mine)} arcs")
+            ends[lab + ":1"] = mine[0][2:]
+        elif p.index == 1:
+            if len(mine) != 2:
+                raise NotMorseSmale(f"maximum {lab} sources {len(mine)} arcs")
+            cells1.append(Cell(lab, 1, "nd", p.f_value))
+            ends[lab] = (next(f[2] for f in mine if f[3] == lab),
+                         next(f[3] for f in mine if f[2] == lab))
+        elif mine:
+            raise NotMorseSmale(f"minimum {lab} sources an arc")
+
+    # the cell each point names in the incidences: bd<i>:0 for a birth-death point
+    cell_of = {lab: lab + ":0" if p.kind == "bd" else lab for lab, p in points.items()}
+    col = {c.id: j for j, c in enumerate(cells0)}
+    delta0: Matrix = [[0] * len(cells0) for _ in cells1]
+    arcs: dict[str, tuple[float, float, int]] = {}
+    for row, c1 in zip(delta0, cells1):
+        minus_end, plus_end = ends[c1.id]
+        # oriented + theta, the boundary is (plus end) - (minus end); a pair's
+        # arc is flipped when its point sits at the minus end, so the pair
+        # entry is +1
+        orient = -1 if c1.kind == "bd1" and cell_of[minus_end] == c1.partner else 1
+        row[col[cell_of[plus_end]]] += orient
+        row[col[cell_of[minus_end]]] -= orient
+        arcs[c1.id] = (points[minus_end].theta, points[plus_end].theta, orient)
+
+    # trajectory signs: the contribution of each arc at its sink, under the
+    # final orientation of the owning 1-cell
+    vertices = {lab: FlowVertex(lab, p.kind == "bd", p.f_value,
+                                index=p.index if p.kind == "nd" else 0)
+                for lab, p in points.items()}
+    edges = []
+    for src, dst, _, plus_end in flows:
+        sign = 1 if dst == plus_end else -1
+        if points[src].kind == "bd":
+            sign *= arcs[src + ":1"][2]
+        edges.append((src, dst, sign))
+
+    cplx = CochainComplex({0: cells0, 1: cells1}, {0: delta0})
+    morse_complex._require_valid(cplx)
+    graph = FlowGraph(vertices, edges)
+    incidence = {(cell_of[src], cell_of[dst]): val
+                 for (src, dst), val in morse_complex.incidence_recursive(graph).items()}
+    hats = morse_complex.hat_basis(cplx, incidence)
+    inverse = (morse_complex.hat_inverse(cplx, 0, hats),
+               morse_complex.hat_inverse(cplx, 1, hats))
+    delta_hat = morse_complex.hat_coboundary(cplx, 0, hats, inverse[1])
+    return CircleComplex(cplx, graph, incidence, hats, inverse, delta_hat, theta, arcs)
 
 
 def _snap(theta: float, n: int) -> int:
     return int(round(theta / (TWO_PI / n))) % n
 
 
-@dataclass(frozen=True)
-class CellGrid:
-    """Node/midpoint index layout of the cells on one staggered grid."""
-    n: int
-    node_of: dict            # 0-cell id -> node index
-    span_of: dict            # 1-cell id -> (start node, end node, orient)
-
-    @classmethod
-    def build(cls, cplx: morse_complex.CochainComplex, n: int) -> "CellGrid":
-        geo = cplx.geometry
-        if geo is None:
-            raise CellOutsideGrid("complex carries no circle geometry")
-        node_of = {}
-        span_of = {}
-        for k, cells in cplx.cells.items():
-            for cell in cells:
-                g = geo[cell.id]
-                if k == 0:
-                    node_of[cell.id] = _snap(g["theta"], n)
-                else:
-                    lo_end, hi_end = g["ends"]
-                    span_of[cell.id] = (_snap(lo_end.theta, n),
-                                        _snap(hi_end.theta, n), g["orient"])
-        return cls(n, node_of, span_of)
-
-    def mid_indices(self, cell_id: str) -> np.ndarray:
-        start, end, _ = self.span_of[cell_id]
-        length = (end - start) % self.n
-        if length == 0:
-            length = self.n
-        return (start + np.arange(length)) % self.n
+def _arc_mids(arc: tuple[float, float, int], n: int) -> np.ndarray:
+    """Midpoint indices of a 1-cell on the n-node grid, from its minus end
+    (snapped) to its plus end; a cell whose ends snap together winds once."""
+    start, end = _snap(arc[0], n), _snap(arc[1], n)
+    length = (end - start) % n or n
+    return (start + np.arange(length)) % n
 
 
 def integrate_cochain(w: WittenMatrices, degree: int, form,
-                      cplx: morse_complex.CochainComplex) -> dict[str, LogValue]:
+                      cc: CircleComplex) -> dict[str, LogValue]:
     """e^{tf}-weighted integrals of a discrete form over the cells.
 
     0-cells evaluate the (continuum-normalized) form at the snapped node;
@@ -96,23 +190,22 @@ def integrate_cochain(w: WittenMatrices, degree: int, form,
     """
     if degree not in (0, 1):
         raise DegenerateInput("degree must be 0 or 1")
-    t = w.t
+    t, n = w.t, w.n_grid
     lv = form if isinstance(form, LogVector) else LogVector.from_values(np.asarray(form, float))
-    if len(lv) != w.n_grid:
+    if len(lv) != n:
         raise CellOutsideGrid("form length does not match the grid")
-    grid_map = CellGrid.build(cplx, w.n_grid)
     log_h = math.log(w.h)
     out = {}
-    for cell in cplx.cells.get(degree, []):
+    for cell in cc.cplx.cells.get(degree, []):
         if degree == 0:
-            i = grid_map.node_of[cell.id]
+            i = _snap(cc.theta[cell.id], n)
             out[cell.id] = LogValue(lv.sign[i],
                                     t * w.f_nodes[i] + lv.log[i] - 0.5 * log_h)
         else:
-            mids = grid_map.mid_indices(cell.id)
-            orient = grid_map.span_of[cell.id][2]
+            arc = cc.arcs[cell.id]
+            mids = _arc_mids(arc, n)
             logs = t * w.f_mids[mids] + lv.log[mids] + 0.5 * log_h
-            signs = orient * lv.sign[mids]
+            signs = arc[2] * lv.sign[mids]
             s, l = logsumexp_signed(signs, logs)
             out[cell.id] = LogValue(s, l)
     return out
@@ -127,16 +220,15 @@ def stokes_defect(cf: CircleFunction, w: WittenMatrices, u: np.ndarray) -> float
     value, so an absolute comparison would only measure that cancellation).
     """
     t = w.t
-    cplx, _, _, _ = circle_complex(cf)
-    ints0 = integrate_cochain(w, 0, u, cplx)
+    cc = circle_complex(cf)
+    ints0 = integrate_cochain(w, 0, u, cc)
     lv = LogVector.from_values(np.asarray(u, float))
     du = w.apply_d_log(lv)
-    ints1 = integrate_cochain(w, 1, du, cplx)
-    grid_map = CellGrid.build(cplx, w.n_grid)
+    ints1 = integrate_cochain(w, 1, du, cc)
     log_h = math.log(w.h)
-    delta0 = cplx.matrix(0)
-    cells0 = cplx.cells[0]
-    cells1 = cplx.cells[1]
+    delta0 = cc.cplx.matrix(0)
+    cells0 = cc.cplx.cells[0]
+    cells1 = cc.cplx.cells[1]
     worst = 0.0
     for r, c1 in enumerate(cells1):
         acc = LogValue(0.0, -np.inf)
@@ -148,7 +240,7 @@ def stokes_defect(cf: CircleFunction, w: WittenMatrices, u: np.ndarray) -> float
         diff = acc + ints1[c1.id].scaled(0.0, -1.0)
         if diff.sign == 0.0:
             continue
-        mids = grid_map.mid_indices(c1.id)
+        mids = _arc_mids(cc.arcs[c1.id], w.n_grid)
         mass_log = _logsum(t * w.f_mids[mids] + du.log[mids] + 0.5 * log_h)
         mass_log = max(mass_log, acc.log, ints1[c1.id].log)
         worst = max(worst, math.exp(diff.log - mass_log))
@@ -209,12 +301,12 @@ class ChainMapReport:
     m_ratio: dict               # bd label -> measured / asymptotic bd-block entry
 
 
-def _hat_coordinates(cplx, hats, degree, vec: dict[str, LogValue]) -> dict[str, LogValue]:
+def _hat_coordinates(cc: CircleComplex, degree: int,
+                     vec: dict[str, LogValue]) -> dict[str, LogValue]:
     """Coordinates of a signed-log cochain w.r.t. the hat basis (exact ints)."""
-    ids = [c.id for c in cplx.cells.get(degree, [])]
-    inv = morse_complex.hat_inverse(cplx, degree, hats)
+    ids = [c.id for c in cc.cplx.cells.get(degree, [])]
     out = {}
-    for cid, row in zip(ids, inv):
+    for cid, row in zip(ids, cc.hat_inverse[degree]):
         acc = LogValue(0.0, -np.inf)
         for src, coeff in zip(ids, row):
             if coeff != 0 and vec[src].sign != 0.0:
@@ -239,7 +331,7 @@ def f_star(solve: CircleSolve) -> ChainMapReport:
         raise NotSelfIndexed(
             "chain-map comparison needs min -> 0 / max -> 1; "
             "use the Agmon-rate matrix element checks instead")
-    cplx, graph, inc_table, hats = circle_complex(cf)
+    cc = circle_complex(cf)
     low = circle_lab.low_complex(solve)
     vecs, bd_of, raw_elems, w = low.vectors, low.bd_of, low.pairings, solve.w
     norms = normalizations(cf, t)
@@ -255,11 +347,10 @@ def f_star(solve: CircleSolve) -> ChainMapReport:
     row_labels = {}
     col_labels = {}
     deviation = 0.0
-    delta_hat = np.array(morse_complex.hat_coboundary(cplx, 0, hats), dtype=float)
+    delta_hat = np.array(cc.delta_hat, dtype=float)
     bd_cols0: dict[str, np.ndarray] = {}
     for degree in (0, 1):
-        cells = cplx.cells[degree]
-        ids = [c.id for c in cells]
+        ids = [c.id for c in cc.cplx.cells[degree]]
         labs = list(vecs[degree])
         columns = []
         for lab in labs:
@@ -270,8 +361,8 @@ def f_star(solve: CircleSolve) -> ChainMapReport:
                 # which needs no tail resolution of the 1-form eigenvector
                 columns.append(delta_hat @ bd_cols0[bdlab])
                 continue
-            ints = integrate_cochain(w, degree, vecs[degree][lab], cplx)
-            coords = _hat_coordinates(cplx, hats, degree, ints)
+            ints = integrate_cochain(w, degree, vecs[degree][lab], cc)
+            coords = _hat_coordinates(cc, degree, ints)
             if bdlab is None:
                 pref = norms.small_prefactor_log[degree] \
                     - math.log(norms.curvature[lab])
@@ -359,7 +450,7 @@ def matrix_element_check(solves: list[CircleSolve],
     if any(s.cf != cf for s in solves):
         raise DegenerateInput("all solves must be of one function")
     e1 = load_constants()["e"][0]
-    cplx, graph, inc_table, hats = circle_complex(cf)
+    inc_table = circle_complex(cf).incidence
     points = cf.labels
     ext = "" if cf.self_indexed else "-extension"
     rows = []

@@ -162,6 +162,28 @@ def test_choose_epsilon_assumption_violated(example_a):
         cl.choose_epsilon(cf)
 
 
+@pytest.mark.parametrize("alpha, t, ratio", [(100.0, 200.0, 0.0017), (30.0, 800.0, 1.7e-5)])
+def test_circle_solve_names_a_window_below_the_residual_bound(example_a, alpha, t, ratio):
+    # without the precondition the eigensolve raises NoConvergence (alpha 100)
+    # or SingularShift (alpha 30, t 800)
+    cf = cl.rescale(example_a, alpha)
+    w = cl.assemble_witten(cf, t, cl.default_n_grid(cf, t))
+    half_width = cl.choose_epsilon(cf) * t ** (2.0 / 3.0)
+    bound = cl.EIG_TOL * w.delta0.scale
+    assert half_width / bound == pytest.approx(ratio, rel=0.05)
+    with pytest.raises(AssumptionViolated) as exc:
+        cl.circle_solve(cf, t)
+    assert f"= {half_width:.4g} " in str(exc.value)
+    assert f"= {bound:.4g} " in str(exc.value)
+
+
+def test_circle_solve_certifies_a_window_above_the_residual_bound(example_a):
+    cf = cl.rescale(example_a, 30.0)      # half-width / bound = 1.1e4 at t = 200
+    reports = cl.spectral_clusters(cl.circle_solve(cf, 200.0))
+    for degree in (0, 1):
+        assert reports[degree].counts == {"small": 1, "bd0": 1, "below_floor": 2}
+
+
 def test_spectral_clusters_counts_and_pairing(a_solves, a_solves_doubled):
     reports = cl.spectral_clusters(a_solves[200.0], a_solves_doubled[200.0])
     for degree in (0, 1):

@@ -219,7 +219,7 @@ def test_circle_fit_honours_lenient_floor(tmp_path, monkeypatch, lenient):
 
 
 def test_complex_file_roundtrip_commands(tmp_path):
-    cplx, _, _, _ = whs_compare.circle_complex(example_function("A"))
+    cplx = whs_compare.circle_complex(example_function("A")).cplx
     path = tmp_path / "a.cplx"
     path.write_text(mc.write_complex(cplx))
     assert run(["complex", "validate", "--file", str(path),
@@ -296,7 +296,7 @@ def test_assert_exit_code(tmp_path):
 
 
 def test_validate_detects_corruption(tmp_path):
-    cplx, _, _, _ = whs_compare.circle_complex(example_function("A"))
+    cplx = whs_compare.circle_complex(example_function("A")).cplx
     text = mc.write_complex(cplx).replace("delta 0 bd0:1 bd0:0 1",
                                           "delta 0 bd0:1 bd0:0 2")
     path = tmp_path / "bad.cplx"

@@ -14,13 +14,13 @@ def test_integrate_constant_one_form_full_circle():
     zero = cl.CircleFunction((0.0,), (0.0,), 0.0, ())
     n = 256
     w = cl.assemble_witten(zero, 4.0, n)
-    pt = cl.CriticalPoint(0.0, "nd", 0, 0.0)
     cells = {0: [mc.Cell("p", 0, "nd", 0.0)], 1: [mc.Cell("c", 1, "nd", 0.0)]}
-    cplx = mc.CochainComplex(cells, {0: [[0]]},
-                             geometry={"p": {"theta": 0.0},
-                                       "c": {"ends": (pt, pt), "orient": 1}})
+    cplx = mc.CochainComplex(cells, {0: [[0]]})
+    graph = mc.FlowGraph({"p": mc.FlowVertex("p", False, 0.0)}, [])
+    cc = wc.CircleComplex(cplx, graph, incidence={}, hats={}, hat_inverse=([[1]], [[1]]),
+                          delta_hat=[[0]], theta={"p": 0.0}, arcs={"c": (0.0, 0.0, 1)})
     form = np.full(n, math.sqrt(w.h))     # continuum value 1 at midpoints
-    out = wc.integrate_cochain(w, 1, form, cplx)
+    out = wc.integrate_cochain(w, 1, form, cc)
     assert abs(out["c"].to_float() - 2 * math.pi) <= 1e-10
 
 
@@ -28,9 +28,8 @@ def test_integrate_kernel_at_min_cell(example_a, a_solves):
     # e^{tf} weight cancels e^{-tf} at the cell point: the ground amplitude
     t = 200.0
     w = a_solves[t].w
-    cplx, _, _, _ = wc.circle_complex(example_a)
     lv = w.kernel_node_logvec()
-    out = wc.integrate_cochain(w, 0, lv, cplx)
+    out = wc.integrate_cochain(w, 0, lv, wc.circle_complex(example_a))
     val = out["min0"].to_float()
     # (t f''(min)/pi)^{1/4} is the continuum ground amplitude at the minimum
     fpp = float(example_a.fpp(example_a.minima[0].theta))
@@ -38,9 +37,9 @@ def test_integrate_kernel_at_min_cell(example_a, a_solves):
 
 
 def test_integrate_rejects_wrong_grid(example_a, a_solves):
-    cplx, _, _, _ = wc.circle_complex(example_a)
+    cc = wc.circle_complex(example_a)
     with pytest.raises(CellOutsideGrid):
-        wc.integrate_cochain(a_solves[50.0].w, 0, np.ones(100), cplx)
+        wc.integrate_cochain(a_solves[50.0].w, 0, np.ones(100), cc)
 
 
 def test_stokes_consistency(example_a, example_b):
@@ -87,6 +86,19 @@ def test_f_star_diagonal_near_identity(a_solves):
     assert rep.defect <= 1e-6
 
 
+def test_f_star_inverts_each_hat_matrix_once(a_solves, monkeypatch):
+    degrees = []
+    hat_inverse = mc.hat_inverse
+
+    def counted(c, k, hats):
+        degrees.append(k)
+        return hat_inverse(c, k, hats)
+
+    monkeypatch.setattr(mc, "hat_inverse", counted)
+    wc.f_star(a_solves[100.0])
+    assert sorted(degrees) == [0, 1]
+
+
 def test_f_star_m_ratio_tends_to_one(a_solves):
     r1 = wc.f_star(a_solves[100.0])
     r2 = wc.f_star(a_solves[800.0])
@@ -114,9 +126,8 @@ def test_matrix_element_check_example_a(a_solves):
             assert abs(r.raw) <= 1e-8
 
 
-def test_matrix_element_check_example_b(example_b, b_solves, b_sweep):
+def test_matrix_element_check_example_b(b_solves, b_sweep):
     rows = wc.matrix_element_check(list(b_solves.values()), strict_floor=False)
-    _, _, table, _ = wc.circle_complex(example_b)
     t_max = max(b_sweep)
     seen = 0
     for r in rows:
@@ -133,12 +144,12 @@ def test_matrix_element_check_example_b(example_b, b_solves, b_sweep):
 
 
 def test_hat_coordinates_roundtrip(example_b):
-    cplx, _, _, hats = wc.circle_complex(example_b)
+    cc = wc.circle_complex(example_b)
     # coordinates of hat(min0) itself must be the unit vector
     vec = {cid: LogValue.from_float(float(v))
-           for cid, v in hats["min0"].items()}
-    full = {c.id: vec.get(c.id, LogValue(0.0, -np.inf)) for c in cplx.cells[0]}
-    coords = wc._hat_coordinates(cplx, hats, 0, full)
+           for cid, v in cc.hats["min0"].items()}
+    full = {c.id: vec.get(c.id, LogValue(0.0, -np.inf)) for c in cc.cplx.cells[0]}
+    coords = wc._hat_coordinates(cc, 0, full)
     for cid, lv in coords.items():
         expect = 1.0 if cid == "min0" else 0.0
         assert abs(lv.to_float() - expect) <= 1e-12
@@ -152,7 +163,7 @@ def test_reversed_critical_points_name_the_same_points(request, name, t):
     assert rev.labels == cf.labels
 
     def cell_ids(f):
-        cplx = wc.circle_complex(f)[0]
+        cplx = wc.circle_complex(f).cplx
         return {k: [c.id for c in cells] for k, cells in cplx.cells.items()}
 
     assert cell_ids(rev) == cell_ids(cf)
